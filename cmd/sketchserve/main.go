@@ -13,6 +13,7 @@
 //	curl 'localhost:7600/query?u=3&v=900'
 //	curl -X POST localhost:7600/query -d '{"pairs":[{"u":0,"v":9},{"u":4,"v":7}]}'
 //	curl -s localhost:7600/sketch/3 | xxd | head
+//	curl -s -X POST localhost:7600/sketch -d '{"nodes":[3,900]}' | xxd | head
 //	curl localhost:7600/stats
 //	curl -X POST localhost:7600/update-edge -d '{"u":12,"v":80,"weight":3}'
 //	curl localhost:7600/healthz; curl localhost:7600/readyz

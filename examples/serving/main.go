@@ -10,13 +10,14 @@
 // would:
 //
 //	GET  /query?u=&v=     GET /sketch/{u}     GET /stats
-//	POST /query (batch)   POST /update-edge
+//	POST /query (batch)   POST /sketch (batch)   POST /update-edge
 //
 // Run with: go run ./examples/serving
 package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,15 +117,26 @@ func main() {
 	fmt.Println()
 
 	// ---- Peer-side sketch fetch (Section 2.1) -------------------------
-	// A peer asks the server for two sketches and estimates locally —
-	// the query needs no further help from the server.
-	a := fetchSketch(ts.URL, 0)
-	b := fetchSketch(ts.URL, 255)
+	// A peer asks the server for both sketches in one POST /sketch and
+	// estimates locally — the query needs no further help from the
+	// server. Each frame holds exactly the bytes GET /sketch/{u} serves.
+	blobs := fetchSketches(ts.URL, 0, 255)
+	if !bytes.Equal(blobs[0], getBytes(ts.URL+"/sketch/0")) {
+		log.Fatal("POST /sketch frame differs from GET /sketch/0")
+	}
+	a, err := distsketch.ParseSketch(blobs[0])
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := distsketch.ParseSketch(blobs[1])
+	if err != nil {
+		log.Fatal(err)
+	}
 	est, err := a.Estimate(b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nGET /sketch/0 + /sketch/255, estimated peer-side: d ≈ %d\n", est)
+	fmt.Printf("\nPOST /sketch {0,255}, estimated peer-side: d ≈ %d (GET /sketch/0 serves the same bytes)\n", est)
 
 	// ---- A link improves: repair behind the atomic swap ---------------
 	e := g.Edges()[0]
@@ -187,19 +199,47 @@ func getJSON(url string, into any) {
 	}
 }
 
-func fetchSketch(base string, u int) *distsketch.Sketch {
-	resp, err := http.Get(fmt.Sprintf("%s/sketch/%d", base, u))
+func getBytes(url string) []byte {
+	resp, err := http.Get(url)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer resp.Body.Close()
 	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	sk, err := distsketch.ParseSketch(blob)
+	return blob
+}
+
+// fetchSketches asks for the nodes' wire sketches with one POST /sketch
+// and splits the reply: per node, in request order, a uvarint length
+// followed by that many sketch bytes.
+func fetchSketches(base string, nodes ...int) [][]byte {
+	req, err := json.Marshal(serve.SketchBatchRequest{Nodes: nodes})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return sk
+	resp, err := http.Post(base+"/sketch", "application/json", bytes.NewReader(req))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		log.Fatalf("POST /sketch: status %d, %v", resp.StatusCode, err)
+	}
+	blobs := make([][]byte, 0, len(nodes))
+	for len(body) > 0 {
+		n, k := binary.Uvarint(body)
+		if k <= 0 || n > uint64(len(body)-k) {
+			log.Fatal("POST /sketch: malformed frame")
+		}
+		blobs = append(blobs, body[k:k+int(n)])
+		body = body[k+int(n):]
+	}
+	if len(blobs) != len(nodes) {
+		log.Fatalf("POST /sketch: %d frames for %d nodes", len(blobs), len(nodes))
+	}
+	return blobs
 }

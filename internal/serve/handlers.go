@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,6 +58,14 @@ type BatchRequest struct {
 // in order.
 type BatchReply struct {
 	Results []QueryResult `json:"results"`
+}
+
+// SketchBatchRequest is the POST /sketch body: the nodes whose wire
+// sketches to return. The reply is application/octet-stream holding,
+// for each requested node in request order (duplicates included), a
+// uvarint length followed by exactly the bytes GET /sketch/{u} returns.
+type SketchBatchRequest struct {
+	Nodes []int `json:"nodes"`
 }
 
 // UpdateRequest is one edge change of a POST /update-edge request: the
@@ -342,18 +351,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, result(u, v, d, nil))
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// Bound the bytes read before decoding: the pair cap alone would let
-	// a huge body allocate its whole array first. ~64 bytes covers any
-	// one encoded pair.
-	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*64+1024)
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+// decodeBatchBody decodes the JSON body of a batch request (POST /query
+// or POST /sketch) into into, answering 413 or 400 itself when it
+// cannot. The bytes read are bounded before decoding: the item cap
+// alone would let a huge body allocate its whole array first. ~64 bytes
+// covers any one encoded pair or node id.
+func decodeBatchBody(w http.ResponseWriter, r *http.Request, maxBatch int, into any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, int64(maxBatch)*64+1024)
+	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
 		if maxErr := (*http.MaxBytesError)(nil); errors.As(err, &maxErr) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-			return
+			return false
 		}
 		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// decodeSketchRequest decodes a POST /sketch body and applies the batch
+// cap shared with POST /query, answering 400 or 413 itself.
+func decodeSketchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) ([]int, bool) {
+	var req SketchBatchRequest
+	if !decodeBatchBody(w, r, maxBatch, &req) {
+		return nil, false
+	}
+	if len(req.Nodes) > maxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge, "%d nodes exceed the %d-node batch cap", len(req.Nodes), maxBatch)
+		return nil, false
+	}
+	return req.Nodes, true
+}
+
+// writeSketchFrame appends one POST /sketch reply frame to buf: blob's
+// uvarint length, then blob.
+func writeSketchFrame(buf *bytes.Buffer, blob []byte) {
+	buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(len(blob))))
+	buf.Write(blob)
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	if !decodeBatchBody(w, r, s.maxBatch, &req) {
 		return
 	}
 	if len(req.Pairs) > s.maxBatch {
@@ -457,8 +496,9 @@ func (s *Server) executePairs(ctx context.Context, set *distsketch.SketchSet, pa
 
 // batchScratch is the per-batch reusable state: the sort permutation,
 // the result slice the reply serializes from, the estimate arena those
-// results point into, and the JSON output buffer. Pooling it keeps
-// POST /query's per-request allocations flat regardless of batch size.
+// results point into, and the output buffer (JSON for POST /query,
+// sketch frames for POST /sketch). Pooling it keeps both batch
+// endpoints' per-request allocations flat regardless of batch size.
 type batchScratch struct {
 	order   []int
 	results []QueryResult
@@ -484,6 +524,33 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sketch-Kind", string(set.Kind()))
 	w.Header().Set("X-Sketch-Words", strconv.Itoa(set.SketchWords(u)))
 	w.Write(blob)
+}
+
+// handleSketchBatch is the batch form of GET /sketch/{u}, the way
+// POST /query is the batch form of GET /query: one round trip returns
+// every sketch a caller needs from this set. The whole request fails
+// with the status GET would give the first id the set cannot answer
+// (404, or 421 with the shard hint), so a 200 always carries every
+// requested blob.
+func (s *Server) handleSketchBatch(w http.ResponseWriter, r *http.Request) {
+	nodes, ok := decodeSketchRequest(w, r, s.maxBatch)
+	if !ok {
+		return
+	}
+	set := s.cur.Load().set
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	sc.buf.Reset()
+	for _, u := range nodes {
+		blob, err := set.SketchBytesChecked(u)
+		if err != nil {
+			s.writeQueryError(w, set, err)
+			return
+		}
+		writeSketchFrame(&sc.buf, blob)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(sc.buf.Bytes())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

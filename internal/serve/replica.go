@@ -201,9 +201,10 @@ func isFault(err error) bool {
 
 // attemptOne runs one upstream call against one replica under the
 // per-attempt timeout, charging the outcome to the replica's health
-// record. An attempt canceled from outside (a hedge race already won,
-// or the whole request gone) charges nothing: a canceled loser is not
-// a failing replica.
+// record. An attempt cut off from outside — a hedge race already won,
+// the client gone, or the router's own request deadline expired —
+// charges nothing: only the per-attempt timeout, whose budget belongs
+// to this replica alone, is evidence the replica is slow.
 func attemptOne[T any](rt *Router, ctx context.Context, rep *replica, call func(ctx context.Context, base string) (T, error)) (T, error) {
 	actx, cancel := rt.attemptCtx(ctx)
 	defer cancel()
@@ -213,7 +214,7 @@ func attemptOne[T any](rt *Router, ctx context.Context, rep *replica, call func(
 		return v, nil
 	}
 	if isFault(err) {
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return v, err
 		}
 		rt.upstreamErrors.Add(1)

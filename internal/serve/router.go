@@ -7,9 +7,12 @@ package serve
 // nodes share a shard is forwarded whole (one upstream request, the
 // shard estimates locally); a cross-shard pair is resolved the way the
 // paper's Section 2.1 query model prescribes: fetch u's wire sketch
-// from its shard, v's from its shard, and estimate from the two blobs
-// alone. The router holds no labels, no graph, and no per-node state —
-// it is restartable in milliseconds and horizontally fungible.
+// from its shard and v's from its shard, and estimate from the two
+// blobs alone. Sketches are fetched with POST /sketch, one call per
+// owning shard and all shards at once, so a batch pays one round trip
+// per shard however many of its pairs cross shards. The router holds
+// no labels, no graph, and no per-node state — it is restartable in
+// milliseconds and horizontally fungible.
 //
 // Each node range maps to a replica set, not a single server: upstream
 // calls retry across replicas, slow reads are hedged, a background
@@ -20,13 +23,15 @@ package serve
 // and a per-request deadline.
 //
 // Wire compatibility: the router serves the same /query (single and
-// batch), /sketch/{u}, /stats, /healthz and /readyz shapes as a shard
-// server, so a client cannot tell a router from a single full-set
-// server — sharding is an operator decision, not a client migration.
+// batch), /sketch (GET /sketch/{u} and the POST /sketch batch form),
+// /stats, /healthz and /readyz shapes as a shard server, so a client
+// cannot tell a router from a single full-set server — sharding is an
+// operator decision, not a client migration.
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,8 +98,9 @@ type RouterOptions struct {
 	// http.DefaultTransport). Tests inject counting or failing
 	// transports here.
 	Transport http.RoundTripper
-	// MaxBatch caps the pairs accepted per POST /query request (default
-	// DefaultMaxBatch). Larger batches get 413 before any upstream call.
+	// MaxBatch caps the pairs accepted per POST /query request and the
+	// nodes per POST /sketch request (default DefaultMaxBatch). Larger
+	// batches get 413 before any upstream call.
 	MaxBatch int
 	// Logger receives lifecycle lines. Nil means log.Default().
 	Logger *log.Logger
@@ -470,6 +476,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.Handle("GET /query", guard(rt.handleQuery))
 	mux.Handle("POST /query", guard(rt.handleBatch))
 	mux.Handle("GET /sketch/{u}", guard(rt.handleSketch))
+	mux.Handle("POST /sketch", guard(rt.handleSketchBatch))
 	mux.Handle("GET /stats", deadlineMiddleware(rt.reqTimeout, http.HandlerFunc(rt.handleStats)))
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
@@ -506,50 +513,130 @@ func (rt *Router) classifyUpstream(resp *http.Response, what string) error {
 	}
 }
 
-// fetchSketch gets global node u's wire sketch from its owning shard's
-// replica set.
-func (rt *Router) fetchSketch(ctx context.Context, m *shardMap, u int) ([]byte, error) {
-	g := m.groupOf(u)
-	return doReplicated(rt, ctx, g, func(ctx context.Context, base string) ([]byte, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/sketch/"+strconv.Itoa(u), nil)
+// post sends body to base+path on one replica and returns the 200
+// response for the caller to read and close. A transport error is a
+// replica fault; any other status is classified by classifyUpstream.
+func (rt *Router) post(ctx context.Context, base, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return nil, &upstreamFault{err}
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, rt.classifyUpstream(resp, path)
+	}
+	return resp, nil
+}
+
+// fetchedSketch is one node's wire sketch, or the error of the replica
+// group that owns it.
+type fetchedSketch struct {
+	blob []byte
+	err  error
+}
+
+// fetchSketches gets the wire sketches of nodes (each validated against
+// m) with one POST /sketch per owning replica group, all groups
+// concurrently, and reports each distinct node's blob or its group's
+// error. A routed batch pays for round trips, not bytes, so a node
+// repeated across pairs costs nothing extra and a group costs one call
+// however many of its nodes are needed.
+func (rt *Router) fetchSketches(ctx context.Context, m *shardMap, nodes []int) map[int]fetchedSketch {
+	out := make(map[int]fetchedSketch, len(nodes))
+	byGroup := make(map[*replicaGroup][]int)
+	for _, u := range nodes {
+		if _, dup := out[u]; dup {
+			continue
+		}
+		out[u] = fetchedSketch{}
+		g := m.groupOf(u)
+		byGroup[g] = append(byGroup[g], u)
+	}
+	var (
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
+	for g, ids := range byGroup {
+		wg.Add(1)
+		go func(g *replicaGroup, ids []int) {
+			defer wg.Done()
+			blobs, err := rt.postSketches(ctx, g, ids)
+			mu.Lock()
+			defer mu.Unlock()
+			for i, u := range ids {
+				if err != nil {
+					out[u] = fetchedSketch{err: err}
+				} else {
+					out[u] = fetchedSketch{blob: blobs[i]}
+				}
+			}
+		}(g, ids)
+	}
+	wg.Wait()
+	return out
+}
+
+// postSketches fetches the wire sketches of ids, all owned by g, with
+// one POST /sketch, returning them in ids order.
+func (rt *Router) postSketches(ctx context.Context, g *replicaGroup, ids []int) ([][]byte, error) {
+	body, err := json.Marshal(SketchBatchRequest{Nodes: ids})
+	if err != nil {
+		return nil, err
+	}
+	return doReplicated(rt, ctx, g, func(ctx context.Context, base string) ([][]byte, error) {
+		resp, err := rt.post(ctx, base, "/sketch", body)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return nil, &upstreamFault{err}
-		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, rt.classifyUpstream(resp, fmt.Sprintf("/sketch/%d", u))
-		}
-		blob, err := io.ReadAll(io.LimitReader(resp.Body, 1<<26))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<26))
 		if err != nil {
 			return nil, &upstreamFault{err}
 		}
-		return blob, nil
+		return splitSketchFrames(raw, len(ids))
 	})
 }
 
-// queryPair resolves one validated pair against a map snapshot:
-// forwarded whole when both nodes share a shard, sketch-exchange
-// across exactly two shards otherwise.
-func (rt *Router) queryPair(ctx context.Context, m *shardMap, u, v int, fetch func(context.Context, int) ([]byte, error)) (distsketch.Dist, error) {
-	gu, gv := m.groupOf(u), m.groupOf(v)
-	if gu == gv {
-		rt.sameShard.Add(1)
-		return rt.forwardQuery(ctx, gu, u, v)
+// splitSketchFrames splits a POST /sketch reply into the want blobs it
+// must hold. A length running past the end of the body, bytes after the
+// last frame, or too few frames mean the replica answered garbage: a
+// replica fault, retried on the next replica, never a wrong blob.
+func splitSketchFrames(body []byte, want int) ([][]byte, error) {
+	blobs := make([][]byte, 0, want)
+	for len(body) > 0 {
+		if len(blobs) == want {
+			return nil, faultf("malformed /sketch reply: %d trailing bytes after %d frames", len(body), want)
+		}
+		n, k := binary.Uvarint(body)
+		if k <= 0 || n > uint64(len(body)-k) {
+			return nil, faultf("malformed /sketch reply: frame %d overruns the body", len(blobs))
+		}
+		body = body[k:]
+		blobs = append(blobs, body[:n:n])
+		body = body[n:]
 	}
-	rt.crossShard.Add(1)
-	bu, err := fetch(ctx, u)
-	if err != nil {
-		return 0, err
+	if len(blobs) != want {
+		return nil, faultf("malformed /sketch reply: %d frames for %d nodes", len(blobs), want)
 	}
-	bv, err := fetch(ctx, v)
-	if err != nil {
-		return 0, err
+	return blobs, nil
+}
+
+// estimateFetched answers a cross-shard pair from its two fetched
+// sketches alone.
+func (rt *Router) estimateFetched(got map[int]fetchedSketch, u, v int) (distsketch.Dist, error) {
+	su, sv := got[u], got[v]
+	if su.err != nil {
+		return 0, su.err
 	}
-	d, err := distsketch.Estimate(bu, bv)
+	if sv.err != nil {
+		return 0, sv.err
+	}
+	d, err := distsketch.Estimate(su.blob, sv.blob)
 	if err != nil {
 		// The two shards disagree about the sketch kind (or a blob is
 		// corrupt) — an operator problem, not the client's.
@@ -614,9 +701,14 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	d, err := rt.queryPair(r.Context(), m, u, v, func(ctx context.Context, n int) ([]byte, error) {
-		return rt.fetchSketch(ctx, m, n)
-	})
+	var d distsketch.Dist
+	if gu, gv := m.groupOf(u), m.groupOf(v); gu == gv {
+		rt.sameShard.Add(1)
+		d, err = rt.forwardQuery(r.Context(), gu, u, v)
+	} else {
+		rt.crossShard.Add(1)
+		d, err = rt.estimateFetched(rt.fetchSketches(r.Context(), m, []int{u, v}), u, v)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
@@ -626,27 +718,22 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch fans a pair batch out across the shards: same-shard pairs
-// are grouped and forwarded as one sub-batch per shard, cross-shard
-// pairs share one sketch fetch per distinct node (memoized for the
-// whole request). Per-pair failures — including a whole replica set
-// being down — land in that pair's Error field; the batch as a whole
-// still answers 200, so one dead shard degrades the answers it owns
-// instead of the whole request. The entire batch routes against one
-// map snapshot, so a concurrent refresh never splits a request across
-// two world views.
+// are grouped and forwarded as one POST /query sub-batch per shard, and
+// every sketch the cross-shard pairs need is fetched with one
+// POST /sketch per shard, concurrently with the sub-batches, before the
+// router estimates those pairs itself. Per-pair failures — including a
+// whole replica set being down — land in that pair's Error field; the
+// batch as a whole still answers 200, so one dead shard degrades the
+// answers it owns instead of the whole request. The entire batch routes
+// against one map snapshot, so a concurrent refresh never splits a
+// request across two world views.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.queryHook != nil {
 		rt.queryHook()
 	}
 	m := rt.smap.Load()
-	r.Body = http.MaxBytesReader(w, r.Body, int64(rt.maxBatch)*64+1024)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		if maxErr := (*http.MaxBytesError)(nil); errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+	if !decodeBatchBody(w, r, rt.maxBatch, &req) {
 		return
 	}
 	if len(req.Pairs) > rt.maxBatch {
@@ -683,16 +770,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rt.forwardSubBatch(r.Context(), g, req.Pairs, idxs, results, dists)
 		}(g, idxs)
 	}
-	// Cross-shard pairs: one memoized sketch fetch per distinct node for
-	// the whole batch, then local estimates.
 	if len(cross) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			memo := newSketchMemo(rt, m)
+			nodes := make([]int, 0, 2*len(cross))
+			for _, i := range cross {
+				nodes = append(nodes, req.Pairs[i].U, req.Pairs[i].V)
+			}
+			got := rt.fetchSketches(r.Context(), m, nodes)
+			rt.crossShard.Add(int64(len(cross)))
 			for _, i := range cross {
 				p := req.Pairs[i]
-				d, err := rt.queryPair(r.Context(), m, p.U, p.V, memo.fetch)
+				d, err := rt.estimateFetched(got, p.U, p.V)
 				results[i] = resultInto(p.U, p.V, d, err, &dists[i])
 			}
 		}()
@@ -745,19 +835,11 @@ func (rt *Router) postBatch(ctx context.Context, g *replicaGroup, sub BatchReque
 		return nil, err
 	}
 	return doReplicated(rt, ctx, g, func(ctx context.Context, base string) (*BatchReply, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", bytes.NewReader(body))
+		resp, err := rt.post(ctx, base, "/query", body)
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return nil, &upstreamFault{err}
-		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, rt.classifyUpstream(resp, "/query")
-		}
 		var reply BatchReply
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<26)).Decode(&reply); err != nil {
 			return nil, &upstreamFault{err}
@@ -767,36 +849,6 @@ func (rt *Router) postBatch(ctx context.Context, g *replicaGroup, sub BatchReque
 		}
 		return &reply, nil
 	})
-}
-
-// sketchMemo caches wire sketches fetched during one batch, so a node
-// appearing in many cross-shard pairs is fetched once. It pins the
-// batch's map snapshot.
-type sketchMemo struct {
-	rt    *Router
-	m     *shardMap
-	blobs map[int][]byte
-	errs  map[int]error
-}
-
-func newSketchMemo(rt *Router, m *shardMap) *sketchMemo {
-	return &sketchMemo{rt: rt, m: m, blobs: make(map[int][]byte), errs: make(map[int]error)}
-}
-
-func (m *sketchMemo) fetch(ctx context.Context, u int) ([]byte, error) {
-	if b, ok := m.blobs[u]; ok {
-		return b, nil
-	}
-	if err, ok := m.errs[u]; ok {
-		return nil, err
-	}
-	b, err := m.rt.fetchSketch(ctx, m.m, u)
-	if err != nil {
-		m.errs[u] = err
-		return nil, err
-	}
-	m.blobs[u] = b
-	return b, nil
 }
 
 // handleSketch proxies a wire-sketch request to the owning shard, so a
@@ -813,13 +865,44 @@ func (rt *Router) handleSketch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	blob, err := rt.fetchSketch(r.Context(), m, u)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+	got := rt.fetchSketches(r.Context(), m, []int{u})[u]
+	if got.err != nil {
+		writeError(w, http.StatusBadGateway, "%v", got.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	w.Write(got.blob)
+}
+
+// handleSketchBatch serves POST /sketch exactly as a full server would:
+// every id is validated first (the first one outside the routed id
+// space answers the server's 404 body), then each owning shard is asked
+// once and the blobs are framed back in request order. A shard whose
+// replicas all fail fails the whole request with 502 — the reply has no
+// per-node error slot.
+func (rt *Router) handleSketchBatch(w http.ResponseWriter, r *http.Request) {
+	m := rt.smap.Load()
+	nodes, ok := decodeSketchRequest(w, r, rt.maxBatch)
+	if !ok {
+		return
+	}
+	for _, u := range nodes {
+		if err := checkRoutedNode(m, u); err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
+		}
+	}
+	got := rt.fetchSketches(r.Context(), m, nodes)
+	var frames bytes.Buffer
+	for _, u := range nodes {
+		if err := got[u].err; err != nil {
+			writeError(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		writeSketchFrame(&frames, got[u].blob)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(frames.Bytes())
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -9,9 +9,12 @@ package serve
 // never serves a wrong answer.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -27,9 +30,11 @@ import (
 
 // replicaFaultTransport is the fault-injection seam for router tests:
 // per-host it can refuse connections (down), refuse after the first n
-// requests pass (passCap — a replica dying mid-batch), or delay
-// responses (a slow replica for hedge races). Every request's host and
-// path is logged so tests can assert which replicas served traffic.
+// requests pass (passCap — a replica dying mid-batch), delay responses
+// (a slow replica for hedge races), or rewrite its 200 POST /sketch
+// replies (mangle — a replica answering a broken frame format). Every
+// request's host and path is logged so tests can assert which replicas
+// served traffic.
 type replicaFaultTransport struct {
 	mu      sync.Mutex
 	hosts   []string
@@ -37,6 +42,7 @@ type replicaFaultTransport struct {
 	down    map[string]bool
 	passCap map[string]int
 	delay   map[string]time.Duration
+	mangle  map[string]func([]byte) []byte
 }
 
 func newReplicaFaultTransport() *replicaFaultTransport {
@@ -44,6 +50,7 @@ func newReplicaFaultTransport() *replicaFaultTransport {
 		down:    map[string]bool{},
 		passCap: map[string]int{},
 		delay:   map[string]time.Duration{},
+		mangle:  map[string]func([]byte) []byte{},
 	}
 }
 
@@ -61,6 +68,7 @@ func (ft *replicaFaultTransport) RoundTrip(req *http.Request) (*http.Response, e
 		}
 	}
 	d := ft.delay[host]
+	mangle := ft.mangle[host]
 	ft.mu.Unlock()
 	if isDown {
 		return nil, fmt.Errorf("injected fault: %s is down", host)
@@ -72,7 +80,20 @@ func (ft *replicaFaultTransport) RoundTrip(req *http.Request) (*http.Response, e
 		case <-time.After(d):
 		}
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || mangle == nil || req.URL.Path != "/sketch" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	out := mangle(raw)
+	resp.Body = io.NopCloser(bytes.NewReader(out))
+	resp.ContentLength = int64(len(out))
+	resp.Header.Del("Content-Length")
+	return resp, nil
 }
 
 func (ft *replicaFaultTransport) setDown(host string, down bool) {
@@ -93,6 +114,12 @@ func (ft *replicaFaultTransport) setPassCap(host string, n int) {
 	ft.passCap[host] = n
 }
 
+func (ft *replicaFaultTransport) setMangle(host string, mangle func([]byte) []byte) {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	ft.mangle[host] = mangle
+}
+
 func (ft *replicaFaultTransport) mark() int {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
@@ -100,16 +127,16 @@ func (ft *replicaFaultTransport) mark() int {
 }
 
 // queryHostsSince returns the distinct hosts that served query traffic
-// (/query or /sketch/*) since mark — probe traffic (/healthz, /stats)
-// is excluded, so ejection tests can assert an ejected replica gets
-// probes but no queries.
+// (/query or /sketch) since mark — probe traffic (/healthz, /stats) is
+// excluded, so ejection tests can assert an ejected replica gets probes
+// but no queries.
 func (ft *replicaFaultTransport) queryHostsSince(mark int) map[string]bool {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	out := map[string]bool{}
 	for i := mark; i < len(ft.hosts); i++ {
 		p := ft.paths[i]
-		if p == "/query" || strings.HasPrefix(p, "/sketch/") {
+		if p == "/query" || p == "/sketch" {
 			out[ft.hosts[i]] = true
 		}
 	}
@@ -194,10 +221,10 @@ func newFaultRouter(t *testing.T, shards []RouterShard, opts RouterOptions) (*Ro
 	return rt, ts
 }
 
-// crossBatchBody builds a batch of cross-shard pairs (i, n-1-i) — each
-// pair costs two sketch fetches, so a batch spreads many upstream
-// requests across the replica groups, giving a mid-batch fault
-// something to land in.
+// crossBatchBody builds a batch of cross-shard pairs (i, n-1-i) on a
+// 2-shard split — every pair needs one sketch from each shard, so the
+// batch makes exactly one POST /sketch to each replica group and a
+// fault injected into either group lands inside the batch.
 func crossBatchBody(n, pairs int) string {
 	items := make([]string, 0, pairs)
 	for i := 0; i < pairs; i++ {
@@ -243,12 +270,11 @@ func requireBatchMatches(t *testing.T, routerURL, body string, baseline []string
 	}
 }
 
-// TestRouterReplicaFailoverMidBatch kills one replica of a group in the
-// middle of a batch: its first few requests succeed, then it starts
-// refusing connections. Every pair must still answer byte-identical to
-// a direct full-set server — failover is invisible to the client — and
-// the failover must be visible in /stats (retries and the dead
-// replica's failures moved).
+// TestRouterReplicaFailoverMidBatch kills one replica of a group as the
+// batch reaches it: the batch's first request to it is refused. Every
+// pair must still answer byte-identical to a direct full-set server —
+// failover is invisible to the client — and the failover must be
+// visible in /stats (retries and the dead replica's failures moved).
 func TestRouterReplicaFailoverMidBatch(t *testing.T) {
 	full, shards, group := buildReplicatedFixture(t, 2, 2)
 	ft := newReplicaFaultTransport()
@@ -257,10 +283,10 @@ func TestRouterReplicaFailoverMidBatch(t *testing.T) {
 	body := crossBatchBody(full.N(), 20)
 	baseline := batchBaseline(t, full, body)
 
-	// The first replica of shard 0 dies after 3 more requests — inside
-	// the batch's fan-out.
+	// The first replica of shard 0 — the group's first candidate on a
+	// fresh router — dies before the batch's first request to it.
 	victim := hostOf(t, group[0][0])
-	ft.setPassCap(victim, 3)
+	ft.setPassCap(victim, 0)
 
 	requireBatchMatches(t, ts.URL, body, baseline)
 
@@ -327,6 +353,121 @@ func TestRouterHedgeSlowReplica(t *testing.T) {
 				t.Errorf("replica %s ejected by lost hedge races (failures=%d)", rep.Base, rep.Failures)
 			}
 		}
+	}
+}
+
+// TestRouterRequestDeadlineSparesReplica pins that the router's own
+// request deadline is not charged to the replica it cut off: the
+// replica is slower than the request budget, not failing, and with
+// FailThreshold 1 a single charged failure would eject it.
+func TestRouterRequestDeadlineSparesReplica(t *testing.T) {
+	_, shards, group := buildReplicatedFixture(t, 1, 1)
+	ft := newReplicaFaultTransport()
+	_, ts := newFaultRouter(t, shards, RouterOptions{
+		Transport:      ft,
+		RequestTimeout: 30 * time.Millisecond,
+		FailThreshold:  1,
+	})
+	ft.setDelay(hostOf(t, group[0][0]), 300*time.Millisecond)
+
+	resp, err := http.Get(ts.URL + "/query?u=0&v=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("query answered 200 although its deadline expired before the replica replied")
+	}
+	var stats RouterStatsReply
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("router stats: status %d", code)
+	}
+	rep := stats.Shards[0].Replicas[0]
+	if rep.Failures != 0 || !rep.Healthy {
+		t.Errorf("replica charged for the router's own deadline: failures=%d healthy=%v", rep.Failures, rep.Healthy)
+	}
+	if stats.UpstreamErrors != 0 {
+		t.Errorf("upstream_errors = %d, want 0: the deadline is the router's, not the upstream's", stats.UpstreamErrors)
+	}
+}
+
+// TestRouterMalformedSketchFrames has the first replica of each group
+// answer POST /sketch with a broken frame format. Each break must count
+// as that replica's fault and be retried on the honest replica: routed
+// answers stay byte-identical, nothing panics, and only the mangling
+// replicas' failures move.
+func TestRouterMalformedSketchFrames(t *testing.T) {
+	full, shards, group := buildReplicatedFixture(t, 2, 2)
+	body := crossBatchBody(full.N(), 20)
+	baseline := batchBaseline(t, full, body)
+	heapSrv := newTestServer(t, full, Options{})
+	const nodesBody = `{"nodes":[0,99,1,98,50,49,0]}`
+	_, wantFrames := postRaw(t, heapSrv.URL+"/sketch", nodesBody)
+
+	frames := func(b []byte) [][]byte { // b is a well-formed reply
+		var out [][]byte
+		for len(b) > 0 {
+			n, k := binary.Uvarint(b)
+			out = append(out, b[k:k+int(n)])
+			b = b[k+int(n):]
+		}
+		return out
+	}
+	join := func(blobs [][]byte) []byte {
+		var buf bytes.Buffer
+		for _, b := range blobs {
+			writeSketchFrame(&buf, b)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name   string
+		mangle func([]byte) []byte
+	}{
+		{"last frame cut short", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }},
+		{"missing frame", func(b []byte) []byte { f := frames(b); return join(f[:len(f)-1]) }},
+		{"extra frame", func(b []byte) []byte { f := frames(b); return join(append(f, f[0])) }},
+		{"empty body", func([]byte) []byte { return nil }},
+		{"huge length", func([]byte) []byte { return binary.AppendUvarint(nil, 1<<62) }},
+		{"uvarint overflow", func([]byte) []byte { return bytes.Repeat([]byte{0xff}, 11) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ft := newReplicaFaultTransport()
+			bad := map[string]bool{}
+			for _, g := range group {
+				bad[hostOf(t, g[0])] = true
+				ft.setMangle(hostOf(t, g[0]), c.mangle)
+			}
+			_, ts := newFaultRouter(t, shards, RouterOptions{Transport: ft, HedgeDelay: -1})
+
+			// A fresh router leads each group with its first replica, so
+			// the batch's fetches meet the mangler; the rotation sends one
+			// of the two POST /sketch calls per group there as well. Only
+			// a rejected mangled reply can charge a failure, so the
+			// failure counts below prove the mangler was hit.
+			requireBatchMatches(t, ts.URL, body, baseline)
+			for i := 0; i < 2; i++ {
+				if code, raw := postRaw(t, ts.URL+"/sketch", nodesBody); code != http.StatusOK || !bytes.Equal(raw, wantFrames) {
+					t.Fatalf("routed POST /sketch %d: status %d, frames differ from a full server's: %v", i, code, !bytes.Equal(raw, wantFrames))
+				}
+			}
+			var stats RouterStatsReply
+			if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+				t.Fatalf("router stats: status %d", code)
+			}
+			if stats.PanicsRecovered != 0 {
+				t.Errorf("panics_recovered = %d, want 0", stats.PanicsRecovered)
+			}
+			for _, sh := range stats.Shards {
+				for _, rep := range sh.Replicas {
+					if mangling := bad[hostOf(t, rep.Base)]; mangling != (rep.Failures > 0) {
+						t.Errorf("replica %s (mangling=%v) has %d failures", rep.Base, mangling, rep.Failures)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,13 +2,16 @@ package serve
 
 // Router coverage: the three serving topologies (heap full set, mmap
 // full set, 4-shard fleet behind a router) must answer byte-identical
-// estimates; fan-out is pinned to ≤ 2 shards per query by a counting
+// estimates; fan-out is pinned to ≤ 2 shards per query, and a batch to
+// one sketch fetch and one sub-batch per shard, by a counting
 // transport; and a dead shard degrades only the pairs it owns.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -57,18 +60,24 @@ func buildShardedFixture(t *testing.T, shards int) (*distsketch.SketchSet, []str
 	return full, bases, ranges
 }
 
-// countingTransport records, per request, which shard host was
-// contacted — the seam pinning the ≤2-shards-per-query guarantee.
+// countingTransport records every upstream request — which shard host
+// was contacted, with what method and path — the seam pinning the
+// ≤2-shards-per-query guarantee and the per-shard batch fetch shape.
 type countingTransport struct {
 	mu    sync.Mutex
-	hosts []string // host of each upstream request, in order
+	calls []upstreamCall // every upstream request, in order
 	// down marks hosts that refuse connections (fault injection).
 	down map[string]bool
 }
 
+// upstreamCall is one request the router made to a shard.
+type upstreamCall struct {
+	host, method, path string
+}
+
 func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ct.mu.Lock()
-	ct.hosts = append(ct.hosts, req.URL.Host)
+	ct.calls = append(ct.calls, upstreamCall{host: req.URL.Host, method: req.Method, path: req.URL.Path})
 	isDown := ct.down[req.URL.Host]
 	ct.mu.Unlock()
 	if isDown {
@@ -83,19 +92,26 @@ func (ct *countingTransport) distinctHostsSince(mark int) []string {
 	defer ct.mu.Unlock()
 	seen := map[string]bool{}
 	var out []string
-	for _, h := range ct.hosts[mark:] {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
+	for _, c := range ct.calls[mark:] {
+		if !seen[c.host] {
+			seen[c.host] = true
+			out = append(out, c.host)
 		}
 	}
 	return out
 }
 
+// callsSince returns the upstream requests made since mark.
+func (ct *countingTransport) callsSince(mark int) []upstreamCall {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return append([]upstreamCall(nil), ct.calls[mark:]...)
+}
+
 func (ct *countingTransport) mark() int {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return len(ct.hosts)
+	return len(ct.calls)
 }
 
 func newRouterServer(t *testing.T, bases []string, ranges []distsketch.ShardRange, ct *countingTransport) *httptest.Server {
@@ -182,7 +198,7 @@ func TestRouterBatchEquivalence(t *testing.T) {
 		v := (u*37 + 13) % full.N()
 		pairs = append(pairs, fmt.Sprintf(`{"u":%d,"v":%d}`, u, v))
 	}
-	// A repeated node exercises the router's per-batch sketch memo.
+	// A node repeated across cross-shard pairs is fetched once.
 	pairs = append(pairs, `{"u":1,"v":99}`, `{"u":1,"v":98}`, `{"u":1,"v":97}`)
 	body := `{"pairs":[` + strings.Join(pairs, ",") + `]}`
 
@@ -211,6 +227,62 @@ func TestRouterBatchEquivalence(t *testing.T) {
 	}
 	if errReply.Results[0].Error != "" || errReply.Results[1].Error == "" {
 		t.Fatalf("routed batch error placement: %+v", errReply.Results)
+	}
+	// The router's POST /sketch answers byte for byte what a full server
+	// answers: frames from every shard in request order, duplicates
+	// included, and the full server's 404 for an id outside the set.
+	for _, body := range []string{
+		`{"nodes":[0,99,26,51,1,76,99,0]}`,
+		fmt.Sprintf(`{"nodes":[3,%d,4]}`, full.N()+2),
+	} {
+		heapCode, heapRaw := postRaw(t, heapSrv.URL+"/sketch", body)
+		routedCode, routedRaw := postRaw(t, routerSrv.URL+"/sketch", body)
+		if routedCode != heapCode || !bytes.Equal(routedRaw, heapRaw) {
+			t.Fatalf("POST /sketch %s: routed %d %q != heap %d %q", body, routedCode, routedRaw, heapCode, heapRaw)
+		}
+	}
+}
+
+// TestRouterBatchFetchShape pins what a routed batch costs upstream: a
+// 64-pair batch over 4 shards makes at most one POST /sketch and one
+// POST /query per shard, and no per-node GET /sketch/{u} at all.
+func TestRouterBatchFetchShape(t *testing.T) {
+	full, bases, ranges := buildShardedFixture(t, 4)
+	ct := &countingTransport{}
+	routerSrv := newRouterServer(t, bases, ranges, ct)
+
+	rng := rand.New(rand.NewSource(64))
+	items := make([]string, 64)
+	for i := range items {
+		items[i] = fmt.Sprintf(`{"u":%d,"v":%d}`, rng.Intn(full.N()), rng.Intn(full.N()))
+	}
+	body := `{"pairs":[` + strings.Join(items, ",") + `]}`
+	baseline := batchBaseline(t, full, body)
+
+	mark := ct.mark()
+	requireBatchMatches(t, routerSrv.URL, body, baseline)
+	perShard := map[upstreamCall]int{}
+	for _, c := range ct.callsSince(mark) {
+		perShard[c]++
+	}
+	var fetches, subBatches int
+	for c, n := range perShard {
+		switch {
+		case c.method == http.MethodPost && c.path == "/sketch":
+			fetches += n
+		case c.method == http.MethodPost && c.path == "/query":
+			subBatches += n
+		default:
+			t.Errorf("batch made %d %s %s calls to %s; want only POST /sketch and POST /query", n, c.method, c.path, c.host)
+		}
+		if n > 1 {
+			t.Errorf("batch made %d %s %s calls to %s; want at most 1 per shard", n, c.method, c.path, c.host)
+		}
+	}
+	// The seeded pairs cross shards and share them, so both call kinds
+	// must show up — the bounds above are not met vacuously.
+	if fetches == 0 || subBatches == 0 {
+		t.Fatalf("batch made %d sketch fetches and %d sub-batches; want both nonzero", fetches, subBatches)
 	}
 }
 
@@ -347,6 +419,19 @@ func TestShardServer421(t *testing.T) {
 	}
 	if reply.Shard == nil || reply.Shard.Lo != ranges[1].Lo || reply.Shard.Hi != ranges[1].Hi || reply.Shard.Total != full.N() {
 		t.Fatalf("421 shard hint: %+v, want [%d,%d) of %d", reply.Shard, ranges[1].Lo, ranges[1].Hi, full.N())
+	}
+	// POST /sketch fails as a whole with the same 421 and hint when any
+	// requested id is owned by another shard.
+	code, raw := postRaw(t, bases[1]+"/sketch", fmt.Sprintf(`{"nodes":[%d,%d]}`, ranges[1].Lo, ranges[0].Lo))
+	if code != http.StatusMisdirectedRequest {
+		t.Fatalf("POST /sketch with an other-shard id: status %d (%s), want 421", code, raw)
+	}
+	reply.Shard = nil
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Shard == nil || reply.Shard.Lo != ranges[1].Lo || reply.Shard.Hi != ranges[1].Hi || reply.Shard.Total != full.N() {
+		t.Fatalf("POST /sketch 421 shard hint: %+v, want [%d,%d) of %d", reply.Shard, ranges[1].Lo, ranges[1].Hi, full.N())
 	}
 	// A nonexistent id is still a plain 404 — not redirectable.
 	if code := getJSON(t, fmt.Sprintf("%s/query?u=%d&v=%d", bases[1], full.N()+5, ranges[1].Lo), nil); code != http.StatusNotFound {

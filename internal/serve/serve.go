@@ -6,6 +6,8 @@
 //	GET  /query?u=&v=   one estimate
 //	POST /query         many pairs per request (amortizes handler overhead)
 //	GET  /sketch/{u}    node u's wire bytes, what a peer would request (§2.1)
+//	POST /sketch        many nodes' wire bytes in one reply, each behind a
+//	                    uvarint length (the batch form of GET /sketch/{u})
 //	GET  /stats         construction cost breakdown + sketch-size summary
 //	POST /update-edge   batched incremental repair behind one atomic set swap
 //	POST /save          crash-safe snapshot of the served set (SnapshotPath)
@@ -54,7 +56,8 @@ import (
 	"distsketch"
 )
 
-// DefaultMaxBatch is the POST /query pair cap when Options.MaxBatch is 0.
+// DefaultMaxBatch is the POST /query pair cap (and the POST /sketch node
+// cap) when Options.MaxBatch is 0.
 const DefaultMaxBatch = 4096
 
 // DefaultMaxInFlight is the admission-gate capacity when
@@ -72,8 +75,9 @@ type Options struct {
 	// repair needs the changed graph). Nil disables updates; queries are
 	// unaffected.
 	Graph *distsketch.Graph
-	// MaxBatch caps the pairs accepted per POST /query request (default
-	// DefaultMaxBatch). Larger batches get 413.
+	// MaxBatch caps the pairs accepted per POST /query request and the
+	// nodes per POST /sketch request (default DefaultMaxBatch). Larger
+	// batches get 413.
 	MaxBatch int
 	// MaxInFlight bounds concurrently executing requests (default
 	// DefaultMaxInFlight; negative disables the gate). Requests beyond
@@ -241,6 +245,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /query", guard(s.handleQuery))
 	mux.Handle("POST /query", guard(s.handleBatch))
 	mux.Handle("GET /sketch/{u}", guard(s.handleSketch))
+	mux.Handle("POST /sketch", guard(s.handleSketchBatch))
 	mux.Handle("POST /update-edge", guard(s.handleUpdateEdge))
 	mux.Handle("POST /save", guard(s.handleSave))
 	// Observability and probes bypass the gate: they must answer exactly

@@ -109,6 +109,37 @@ func postJSON(t *testing.T, url, body string, into any) int {
 	return resp.StatusCode
 }
 
+// getRaw issues a GET and returns the status code and the raw body.
+func getRaw(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", url, err)
+	}
+	return resp.StatusCode, body
+}
+
+// postRaw issues a JSON POST and returns the status code and the raw
+// body.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: reading body: %v", url, err)
+	}
+	return resp.StatusCode, raw
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	set, g := buildSet(t)
 	ts := newTestServer(t, set, Options{Graph: g})
@@ -252,7 +283,7 @@ func TestBatchMalformed(t *testing.T) {
 
 func TestSketchEndpoint(t *testing.T) {
 	set, _ := buildSet(t)
-	ts := newTestServer(t, set, Options{})
+	ts := newTestServer(t, set, Options{MaxBatch: 8})
 	resp, err := http.Get(ts.URL + "/sketch/13")
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +322,45 @@ func TestSketchEndpoint(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+
+	// POST /sketch, the batch form: one frame per requested node, in
+	// request order and duplicates included, each holding exactly the
+	// bytes GET /sketch/{u} serves.
+	nodes := []int{13, 0, 63, 13, 7, 0}
+	code, raw := postRaw(t, ts.URL+"/sketch", `{"nodes":[13,0,63,13,7,0]}`)
+	if code != http.StatusOK {
+		t.Fatalf("POST /sketch: status %d (%s)", code, raw)
+	}
+	blobs, err := splitSketchFrames(raw, len(nodes))
+	if err != nil {
+		t.Fatalf("POST /sketch frames: %v", err)
+	}
+	for i, u := range nodes {
+		if _, want := getRaw(t, fmt.Sprintf("%s/sketch/%d", ts.URL, u)); !bytes.Equal(blobs[i], want) {
+			t.Errorf("POST /sketch frame %d (node %d) differs from GET /sketch/%d", i, u, u)
+		}
+	}
+	if code, raw := postRaw(t, ts.URL+"/sketch", `{"nodes":[]}`); code != http.StatusOK || len(raw) != 0 {
+		t.Errorf("POST /sketch with no nodes: status %d body %q, want 200 and empty", code, raw)
+	}
+	huge := `{"nodes":[` + strings.Repeat("1,", 1000) + `1]}`
+	for body, want := range map[string]int{
+		`{"nodes":`:                     http.StatusBadRequest,
+		`not json at all`:               http.StatusBadRequest,
+		`{"nodes":[0,1,2,3,4,5,6,7,8]}`: http.StatusRequestEntityTooLarge, // over MaxBatch
+		huge:                            http.StatusRequestEntityTooLarge, // past the byte bound
+	} {
+		if code, raw := postRaw(t, ts.URL+"/sketch", body); code != want {
+			t.Errorf("POST /sketch %.30q: status %d (%s), want %d", body, code, raw, want)
+		}
+	}
+	// One id the set cannot answer fails the whole request with the
+	// status and body GET gives that id.
+	getCode, getBody := getRaw(t, ts.URL+"/sketch/64")
+	code, raw = postRaw(t, ts.URL+"/sketch", `{"nodes":[1,64,2]}`)
+	if code != http.StatusNotFound || getCode != http.StatusNotFound || !bytes.Equal(raw, getBody) {
+		t.Errorf("POST /sketch with id 64: %d %s, want GET's %d %s", code, raw, getCode, getBody)
 	}
 }
 
