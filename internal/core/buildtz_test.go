@@ -225,3 +225,78 @@ func TestSketchSizeWithinWHPBound(t *testing.T) {
 		t.Error("mean > max")
 	}
 }
+
+// TestBuildTZIsolatedNodes pins degree-0 nodes and the one-node network.
+// Node 3 has no edges and is the only phase-1 source outside the path
+// 0–1–2: it must become its own pivot at distance 0 without sending
+// anything, and its queued self-announcement must not keep it awake.
+func TestBuildTZIsolatedNodes(t *testing.T) {
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(1, 2, 3)
+	b.AddEdge(4, 5, 1)
+	g := b.MustFreeze()
+	levels := []int{0, 1, 0, 1, 0, 0}
+	cent, err := tz.BuildHierarchy(g, 2, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		batch int
+		cfg   congest.Config
+		want  congest.Stats
+	}{
+		{"sync", 0, congest.Config{}, congest.Stats{Rounds: 6, Messages: 10, Words: 30}},
+		{"batch", 4, congest.Config{}, congest.Stats{Rounds: 6, Messages: 10, Words: 30}},
+		{"async", 0, congest.Config{MaxDelay: 3}, congest.Stats{Rounds: 9, Messages: 10, Words: 30}},
+	}
+	for _, c := range cases {
+		res, err := BuildTZ(g, TZOptions{K: 2, Seed: 1, Mode: SyncOmniscient,
+			Levels: levels, Batch: c.batch, Congest: c.cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		labelsEqual(t, res.Labels, cent.Labels, c.name)
+		for i, p := range res.Labels[3].Pivots {
+			if p != (sketch.Pivot{Node: 3, Dist: 0}) {
+				t.Errorf("%s: isolated node pivot %d = %+v, want itself at 0", c.name, i, p)
+			}
+		}
+		if res.Cost.Total != c.want {
+			t.Errorf("%s: cost %+v, want %+v", c.name, res.Cost.Total, c.want)
+		}
+	}
+
+	one := graph.NewBuilder(1).MustFreeze()
+	res, err := BuildTZ(one, TZOptions{K: 2, Seed: 1, Mode: SyncOmniscient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (congest.Stats{Rounds: 1}); res.Cost.Total != want {
+		t.Errorf("n=1: cost %+v, want %+v", res.Cost.Total, want)
+	}
+	if p := res.Labels[0].Pivots[0]; p != (sketch.Pivot{Node: 0, Dist: 0}) {
+		t.Errorf("n=1: pivot 0 = %+v, want itself at 0", p)
+	}
+}
+
+// TestBuildTZAllocs guards the construction's hot path: a node's
+// announcements leave as one broadcast per round, not one boxed message
+// per edge, so a whole build allocates far less than once per message.
+func TestBuildTZAllocs(t *testing.T) {
+	g := graph.Make(graph.FamilyGeometric, 256, graph.UniformWeights(1, 100), 5)
+	opt := TZOptions{K: 3, Seed: 5, Mode: SyncOmniscient, Congest: congest.Config{Sequential: true}}
+	var res *TZResult
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if res, err = BuildTZ(g, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	msgs := res.Cost.Total.Messages
+	t.Logf("%.0f allocations for %d messages", allocs, msgs)
+	if limit := float64(msgs) / 4; allocs >= limit {
+		t.Errorf("BuildTZ made %.0f allocations for %d messages, want < %.0f", allocs, msgs, limit)
+	}
+}

@@ -2,10 +2,13 @@ package core
 
 import "distsketch/internal/congest"
 
-// outQueues implements the per-edge FIFO send discipline every core
-// protocol uses to stay within the CONGEST bandwidth budget: any number of
-// logical sends may be enqueued in a round, and exactly one message per
-// edge is transmitted per round.
+// outQueues implements a per-edge FIFO send discipline within the CONGEST
+// bandwidth budget: any number of logical sends may be enqueued in a
+// round, and exactly one message per edge is transmitted per round. Only
+// protocols that send different messages on different edges need it —
+// detection's echoes and label shipping. The TZ and wave floods send
+// every announcement on every edge, so they broadcast from one per-node
+// queue (tzNode) or flag (waveNode) instead.
 //
 // Two entry kinds exist. A concrete entry carries a fixed message
 // (control, echo). A source entry carries only a source ID whose current
@@ -75,23 +78,6 @@ func (q *outQueues) pending() bool {
 	return false
 }
 
-// popSrcBatch pops up to max consecutive source entries from the head of
-// edge i's queue (stopping at a concrete message). Used by the
-// bandwidth-B generalization, which packs several announcements into one
-// B-word message (Section 2.2's remark).
-func (q *outQueues) popSrcBatch(i, max int) []int {
-	e := &q.edges[i]
-	var srcs []int
-	for len(srcs) < max && len(e.fifo) > 0 && e.fifo[0].msg == nil {
-		src := e.fifo[0].src
-		copy(e.fifo, e.fifo[1:])
-		e.fifo = e.fifo[:len(e.fifo)-1]
-		delete(e.srcHere, src)
-		srcs = append(srcs, src)
-	}
-	return srcs
-}
-
 // drain pops at most one entry per edge, calling send(i, entry). For
 // source entries the callback builds the message from current state.
 func (q *outQueues) drain(send func(edge int, e qEntry)) {
@@ -109,16 +95,5 @@ func (q *outQueues) drain(send func(edge int, e qEntry)) {
 			delete(e.srcHere, ent.src)
 		}
 		send(i, ent)
-	}
-}
-
-// reset drops all queued entries (used at phase boundaries, where queues
-// are provably empty in correct runs; reset also guards tests).
-func (q *outQueues) reset() {
-	for i := range q.edges {
-		q.edges[i].fifo = q.edges[i].fifo[:0]
-		for k := range q.edges[i].srcHere {
-			delete(q.edges[i].srcHere, k)
-		}
 	}
 }

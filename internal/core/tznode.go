@@ -19,19 +19,28 @@ type tzNode struct {
 	topLevel int // largest i with this node ∈ A_i; -1 if not in A_0
 	batch    int // announcements per message (bandwidth-B mode; ≥ 1)
 
-	phase  int                // current phase, or -1 outside phases
-	thresh graph.Dist         // d(u, A_{phase+1}), fixed for the phase
-	best   map[int]graph.Dist // source -> best distance seen this phase
-	out    *outQueues
+	phase  int            // current phase, or -1 outside phases
+	thresh graph.Dist     // d(u, A_{phase+1}), fixed for the phase
+	best   map[int]tzBest // source -> best distance seen this phase
+	queue  []int          // sources awaiting broadcast, oldest first
+	head   int            // queue[head] is the next source to send
 
-	// Results accumulated across phases. Bunch items collect in the
-	// items scratch slice (arbitrary per-phase map order); the harvest
-	// installs them with SetBunch, which canonicalizes once per label.
+	// Results accumulated across phases. Bunch items may collect in the
+	// items scratch slice in any order: the harvest installs them with
+	// SetBunch, which sorts once per label, and pivot ties break on node
+	// id.
 	label *sketch.TZLabel
 	items []sketch.BunchItem
 	// chainBest is the running (dist, id) lexicographic minimum over
 	// levels >= current+1, used to extend the pivot chain downward.
 	chainBest pivotCand
+}
+
+// tzBest is a source's best distance this phase, with whether it is
+// queued for broadcast, so one map lookup serves each announcement.
+type tzBest struct {
+	dist   graph.Dist
+	queued bool
 }
 
 type pivotCand struct {
@@ -68,19 +77,17 @@ func newTZNode(id, k, topLevel, batch int) *tzNode {
 	}
 }
 
-func (nd *tzNode) Init(ctx *congest.Context) {
-	nd.out = newOutQueues(ctx.Degree())
-}
+func (nd *tzNode) Init(*congest.Context) {}
 
 // startPhase is invoked by the runner (omniscient synchronization) at the
 // beginning of phase i. A node in A_i \ A_{i+1} — exactly the nodes with
 // topLevel == i — becomes a source: it announces 〈u, 0〉 on every edge.
 func (nd *tzNode) startPhase(i int) {
 	nd.phase = i
-	nd.best = make(map[int]graph.Dist)
+	nd.best = make(map[int]tzBest)
 	if nd.topLevel == i {
-		nd.best[nd.id] = 0
-		nd.out.pushSrcAll(nd.id)
+		nd.best[nd.id] = tzBest{dist: 0, queued: true}
+		nd.queue = append(nd.queue, nd.id)
 	}
 }
 
@@ -91,15 +98,12 @@ func (nd *tzNode) startPhase(i int) {
 func (nd *tzNode) finishPhase() {
 	i := nd.phase
 	cand := nd.chainBest
-	for v, d := range nd.best {
+	for v, b := range nd.best {
 		if v == nd.id {
 			continue
 		}
-		// nd.best iterates in arbitrary map order; items accumulate
-		// unsorted across phases and the harvest installs them with
-		// SetBunch once, instead of paying a sorted insert per item.
-		nd.items = append(nd.items, sketch.BunchItem{Node: v, Dist: d, Level: i})
-		if c := (pivotCand{dist: d, node: v}); lessCand(c, cand) {
+		nd.items = append(nd.items, sketch.BunchItem{Node: v, Dist: b.dist, Level: i})
+		if c := (pivotCand{dist: b.dist, node: v}); lessCand(c, cand) {
 			cand = c
 		}
 	}
@@ -113,19 +117,20 @@ func (nd *tzNode) finishPhase() {
 	nd.thresh = cand.dist // d(u, A_i), the threshold for phase i-1
 	nd.best = nil
 	nd.phase = -1
-	nd.out.reset()
+	nd.queue, nd.head = nd.queue[:0], 0
 }
 
 func (nd *tzNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
+		w := ctx.NeighborIndex(in.From)
 		switch m := in.Payload.(type) {
 		case dataMsg:
 			nd.checkPhase(m.Phase)
-			nd.accept(ctx, in.From, m)
+			nd.accept(ctx, w, m.Src, m.Dist)
 		case dataBatchMsg:
 			nd.checkPhase(m.Phase)
 			for _, it := range m.Items {
-				nd.accept(ctx, in.From, dataMsg{Phase: m.Phase, Src: it.Src, Dist: it.Dist})
+				nd.accept(ctx, w, it.Src, it.Dist)
 			}
 		default:
 			panic(fmt.Sprintf("core: node %d got %T in TZ phase", nd.id, in.Payload))
@@ -141,50 +146,58 @@ func (nd *tzNode) checkPhase(p int) {
 	}
 }
 
-// accept implements lines 10–14 of Algorithm 2: adopt the announced
-// distance if it both beats the current estimate and stays below
-// d(u, A_{i+1}) (i.e. the source is (still possibly) in B_i(u)), then
-// queue the improved announcement for all neighbors.
-func (nd *tzNode) accept(ctx *congest.Context, from int, m dataMsg) {
-	w := ctx.NeighborIndex(from)
-	nd2 := graph.AddDist(m.Dist, ctx.WeightTo(w))
-	cur, seen := nd.best[m.Src]
+// accept implements lines 10–14 of Algorithm 2: adopt the distance
+// announced for src over edge w if it both beats the current estimate and
+// stays below d(u, A_{i+1}) (i.e. the source is (still possibly) in
+// B_i(u)), then queue src for all neighbors unless it is queued already.
+func (nd *tzNode) accept(ctx *congest.Context, w, src int, dist graph.Dist) {
+	d := graph.AddDist(dist, ctx.WeightTo(w))
+	cur, seen := nd.best[src]
 	if !seen {
-		cur = graph.Inf
+		cur.dist = graph.Inf
 	}
-	if nd2 >= nd.thresh || nd2 >= cur {
+	if d >= nd.thresh || d >= cur.dist {
 		return
 	}
-	nd.best[m.Src] = nd2
-	nd.out.pushSrcAll(m.Src)
+	nd.best[src] = tzBest{dist: d, queued: true}
+	if !cur.queued {
+		nd.queue = append(nd.queue, src)
+	}
 }
 
-// drain transmits one message per edge — a single announcement, or up to
-// `batch` of them in bandwidth-B mode — with *current* best distances,
-// then requests a wake-up if anything remains queued.
+// drain broadcasts the oldest queued source — or up to `batch` of them in
+// bandwidth-B mode — with its *current* best distance, so an improvement
+// made while queued is sent once, with the newer value (the superseded
+// case of Section 3.3). Every announcement goes to every edge, so one
+// queue per node stands for a FIFO per edge. It requests a wake-up if
+// anything remains queued.
 func (nd *tzNode) drain(ctx *congest.Context) {
+	if nd.head == len(nd.queue) {
+		return
+	}
 	if nd.batch > 1 {
-		for i := 0; i < ctx.Degree(); i++ {
-			srcs := nd.out.popSrcBatch(i, nd.batch)
-			if len(srcs) == 0 {
-				continue
-			}
-			items := make([]srcDist, len(srcs))
-			for j, s := range srcs {
-				items[j] = srcDist{Src: s, Dist: nd.best[s]}
-			}
-			ctx.Send(i, dataBatchMsg{Phase: nd.phase, Items: items})
+		items := make([]srcDist, min(nd.batch, len(nd.queue)-nd.head))
+		for j := range items {
+			items[j] = nd.pop()
 		}
+		ctx.Broadcast(dataBatchMsg{Phase: nd.phase, Items: items})
 	} else {
-		nd.out.drain(func(edge int, e qEntry) {
-			if e.msg != nil {
-				ctx.Send(edge, e.msg)
-				return
-			}
-			ctx.Send(edge, dataMsg{Phase: nd.phase, Src: e.src, Dist: nd.best[e.src]})
-		})
+		it := nd.pop()
+		ctx.Broadcast(dataMsg{Phase: nd.phase, Src: it.Src, Dist: it.Dist})
 	}
-	if nd.out.pending() {
+	if nd.head < len(nd.queue) {
 		ctx.WakeNextRound()
+	} else {
+		nd.queue, nd.head = nd.queue[:0], 0
 	}
+}
+
+// pop dequeues the oldest queued source with its current best distance.
+func (nd *tzNode) pop() srcDist {
+	src := nd.queue[nd.head]
+	nd.head++
+	b := nd.best[src]
+	b.queued = false
+	nd.best[src] = b
+	return srcDist{Src: src, Dist: b.dist}
 }

@@ -24,10 +24,8 @@ type waveNode struct {
 
 	best      graph.Dist
 	bestSrc   int
-	parentIdx int // neighbor index toward bestSrc; -1 at a net node
-
-	out    *outQueues
-	queued bool
+	parentIdx int  // neighbor index toward bestSrc; -1 at a net node
+	queued    bool // the current best awaits broadcast
 }
 
 func newWaveNode(id int, isNet bool) *waveNode {
@@ -35,19 +33,12 @@ func newWaveNode(id int, isNet bool) *waveNode {
 }
 
 func (w *waveNode) Init(ctx *congest.Context) {
-	w.out = newOutQueues(ctx.Degree())
 	if w.isNet {
 		w.best = 0
 		w.bestSrc = w.id
-		w.enqueueAll()
+		w.queued = true
 	}
-	w.drainAndWake(ctx)
-}
-
-func (w *waveNode) enqueueAll() {
-	// A single logical "wave" source per node: reuse slot 0 of the
-	// deferred-value queue machinery.
-	w.out.pushSrcAll(0)
+	w.drain(ctx)
 }
 
 func (w *waveNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
@@ -62,18 +53,19 @@ func (w *waveNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 			w.best = nd
 			w.bestSrc = m.Src
 			w.parentIdx = from
-			w.enqueueAll()
+			w.queued = true
 		}
 	}
-	w.drainAndWake(ctx)
+	w.drain(ctx)
 }
 
-func (w *waveNode) drainAndWake(ctx *congest.Context) {
-	w.out.drain(func(edge int, e qEntry) {
-		ctx.Send(edge, netWaveMsg{Dist: w.best, Src: w.bestSrc})
-	})
-	if w.out.pending() {
-		ctx.WakeNextRound()
+// drain broadcasts the current best, once, if it improved since the last
+// broadcast. A node has a single logical source, so nothing is ever left
+// queued for a later round.
+func (w *waveNode) drain(ctx *congest.Context) {
+	if w.queued {
+		ctx.Broadcast(netWaveMsg{Dist: w.best, Src: w.bestSrc})
+		w.queued = false
 	}
 }
 
