@@ -47,7 +47,7 @@ func (nd *ssspNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	improved := false
 	for _, in := range inbox {
 		m := in.Payload.(distMsg)
-		w := ctx.NeighborIndex(in.From)
+		w := in.Edge
 		if d := graph.AddDist(m.Dist, ctx.WeightTo(w)); d < nd.dist {
 			nd.dist = d
 			improved = true
@@ -126,7 +126,7 @@ func (nd *ksourceNode) enqueueAll(src int) {
 func (nd *ksourceNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
 		m := in.Payload.(distMsg)
-		w := ctx.NeighborIndex(in.From)
+		w := in.Edge
 		d := graph.AddDist(m.Dist, ctx.WeightTo(w))
 		if cur, ok := nd.best[m.Src]; !ok || d < cur {
 			nd.best[m.Src] = d

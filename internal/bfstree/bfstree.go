@@ -218,7 +218,7 @@ func (nd *treeNode) Init(ctx *congest.Context) {
 
 func (nd *treeNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
-		from := ctx.NeighborIndex(in.From)
+		from := in.Edge
 		switch m := in.Payload.(type) {
 		case tokenMsg:
 			if nd.root || nd.hasParent {

@@ -23,10 +23,10 @@
 // nodes that have a delivery or a wake request pending, visits only those
 // nodes in step, harvests outgoing messages only from nodes that ran, and
 // answers Quiescent from O(1) counters. Per-round cost is proportional to
-// the activity of the round, not to n. The legacy O(n)-per-round loop is
-// retained behind Config.FullScan as the baseline for the scheduler
-// benchmarks and the equivalence tests; both produce bit-identical
-// executions.
+// the activity of the round, not to n. Every delivery carries the
+// receiver's adjacency index of the edge it arrived on (Incoming.Edge),
+// and a broadcast occupies one slot at the sender that collect expands
+// across its edges, so neither side pays a search or a per-edge queue.
 //
 // Within a round all active nodes execute concurrently on a persistent
 // worker pool; because interaction happens only through the round-boundary
@@ -54,8 +54,12 @@ type Message interface {
 }
 
 // Incoming is a delivered message together with its sending neighbor.
+// Edge is the receiver's adjacency index of the edge the message arrived
+// on, so ctx.Neighbors()[Edge] == From and ctx.WeightTo(Edge) is that
+// edge's weight; handlers need no NeighborIndex search.
 type Incoming struct {
 	From    int
+	Edge    int
 	Payload Message
 }
 
@@ -96,12 +100,6 @@ type Config struct {
 	// Trace records a per-round time series of sent messages/words
 	// (Engine.Trace), used to regenerate wave-profile figures.
 	Trace bool
-	// FullScan selects the legacy O(n)-per-round round loop (scan every
-	// node every round) instead of the event-driven active-set scheduler.
-	// It exists as the baseline for the scheduler benchmarks and the
-	// equivalence tests; executions are bit-identical, only slower when
-	// the active frontier is much smaller than n.
-	FullScan bool
 	// Ctx, when non-nil, makes the run cancelable: the engine checks the
 	// context before every round and aborts with a wrapped Ctx.Err() once
 	// it is done. This is how the facade's BuildContext plumbs context
@@ -188,6 +186,7 @@ type Engine struct {
 	stats     Stats
 	initDone  bool
 	delivered int64 // messages delivered in the most recent round
+	crashes   int   // fail-stopped nodes; while 0, collect skips the receiver check
 
 	// Asynchronous mode (MaxDelay > 1).
 	async    bool
@@ -232,13 +231,21 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 	if cfg.Ctx != nil {
 		e.done = cfg.Ctx.Done()
 	}
+	// rev[i] of u is u's index in the adjacency of its i-th neighbor v.
+	// Adjacency lists are sorted and free of parallel arcs, so visiting u
+	// in ascending order meets v's neighbors in v's own list order: u is
+	// always the next unclaimed entry of v's list, cursor[v].
+	cursor := make([]int, g.N())
 	for u := 0; u < g.N(); u++ {
 		adj := g.Adj(u)
 		nbrs := make([]int, len(adj))
 		wts := make([]graph.Dist, len(adj))
+		rev := make([]int, len(adj))
 		for i, a := range adj {
 			nbrs[i] = a.To
 			wts[i] = a.Weight
+			rev[i] = cursor[a.To]
+			cursor[a.To]++
 		}
 		e.ctxs[u] = &Context{
 			maxWords:  cfg.MaxWords,
@@ -247,6 +254,7 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 			n:         g.N(),
 			neighbors: nbrs,
 			weights:   wts,
+			rev:       rev,
 			out:       make([]Message, len(adj)),
 			lastDue:   make([]int, len(adj)),
 			rng:       rand.New(rand.NewPCG(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)),
@@ -290,10 +298,12 @@ type Context struct {
 	n         int
 	neighbors []int // sorted neighbor IDs
 	weights   []graph.Dist
+	rev       []int // rev[i] = this node's index in neighbors[i]'s adjacency
 	rng       *rand.Rand
 
 	round   int
 	out     []Message // out[i] = message queued for neighbors[i] this round
+	bcast   Message   // this round's broadcast; excludes every out[i]
 	lastDue []int     // async: last scheduled delivery round per edge (FIFO)
 	wake    bool
 	crashed bool
@@ -338,17 +348,22 @@ func (c *Context) RNG() *rand.Rand { return c.rng }
 // MaxWords words; violations panic, because they mean the algorithm does
 // not fit the CONGEST model.
 func (c *Context) Send(i int, msg Message) {
+	c.check(msg)
+	if c.out[i] != nil || c.bcast != nil {
+		panic(fmt.Sprintf("congest: node %d sent twice to neighbor %d in round %d", c.id, c.neighbors[i], c.round))
+	}
+	c.out[i] = msg
+	c.sent++
+}
+
+// check panics unless msg is a non-nil message within the word budget.
+func (c *Context) check(msg Message) {
 	if msg == nil {
 		panic("congest: nil message")
 	}
 	if w := msg.Words(); w > c.maxWords {
 		panic(fmt.Sprintf("congest: node %d message of %d words exceeds budget %d", c.id, w, c.maxWords))
 	}
-	if c.out[i] != nil {
-		panic(fmt.Sprintf("congest: node %d sent twice to neighbor %d in round %d", c.id, c.neighbors[i], c.round))
-	}
-	c.out[i] = msg
-	c.sent++
 }
 
 // SendTo queues msg for the neighbor with the given ID.
@@ -360,11 +375,17 @@ func (c *Context) SendTo(id int, msg Message) {
 	c.Send(i, msg)
 }
 
-// Broadcast queues msg on every incident edge.
+// Broadcast queues msg on every incident edge. It occupies the whole
+// round's bandwidth, so it panics if the node already sent anything this
+// round, and any later Send or Broadcast panics. The message is held in a
+// single slot and checked once; collect copies it across the edges, and
+// Stats count one message, and msg.Words() words, per delivered copy.
 func (c *Context) Broadcast(msg Message) {
-	for i := range c.neighbors {
-		c.Send(i, msg)
+	c.check(msg)
+	if c.sent != 0 || c.bcast != nil {
+		panic(fmt.Sprintf("congest: node %d broadcast after sending in round %d", c.id, c.round))
 	}
+	c.bcast = msg
 }
 
 // WakeNextRound requests that this node's Round be invoked next round even
@@ -418,6 +439,7 @@ func (e *Engine) Crash(u int) {
 		return
 	}
 	ctx.crashed = true
+	e.crashes++
 	if ctx.wake {
 		ctx.wake = false
 		e.wakeCount.Add(-1)
@@ -443,13 +465,8 @@ func (e *Engine) Init() {
 		ctx.round = 0
 		e.nodes[u].Init(ctx)
 	}
-	if e.cfg.FullScan {
-		e.forEachNodeSpawn(initNode)
-		e.collectFullScan()
-	} else {
-		e.pool.run(e.g.N(), initNode, e.cfg.Sequential)
-		e.collect(nil)
-	}
+	e.pool.run(e.g.N(), initNode, e.cfg.Sequential)
+	e.collect(nil)
 	if e.cfg.Trace {
 		e.trace = append(e.trace, RoundStat{
 			Round:    0,
@@ -496,9 +513,6 @@ func (e *Engine) RunUntilQuiescent(maxRounds int) (int, error) {
 // check is O(1): pending deliveries and wake requests are counted as they
 // are produced and consumed.
 func (e *Engine) Quiescent() bool {
-	if e.cfg.FullScan {
-		return e.quiescentScan()
-	}
 	if e.async {
 		if len(e.future) > 0 {
 			return false
@@ -520,12 +534,7 @@ func (e *Engine) step() error {
 		default:
 		}
 	}
-	var err error
-	if e.cfg.FullScan {
-		err = e.stepFullScan()
-	} else {
-		err = e.stepActive()
-	}
+	err := e.stepActive()
 	if err == nil && e.cfg.OnRound != nil {
 		e.cfg.OnRound(e.stats.Rounds)
 	}
@@ -546,10 +555,10 @@ func (e *Engine) stepActive() error {
 	// The runnable set for this round is everything scheduled so far:
 	// receivers of this round's deliveries plus wake requests. Ascending
 	// node-ID order makes collect's harvest order — and therefore every
-	// inbox's ordering — identical to the legacy all-nodes scan. On dense
-	// rounds the order comes from an O(n) scan of the membership bitmap,
-	// which beats comparison-sorting a quarter of the graph; on sparse
-	// rounds (the wave regime) a small sort wins.
+	// inbox's ordering — ascending by sender, as if all n nodes had been
+	// scanned. On dense rounds the order comes from an O(n) scan of the
+	// membership bitmap, which beats comparison-sorting a quarter of the
+	// graph; on sparse rounds (the wave regime) a small sort wins.
 	e.active, e.pending = e.pending, e.active[:0]
 	if len(e.active)*4 >= e.g.N() {
 		e.active = e.active[:0]
@@ -604,7 +613,8 @@ func (e *Engine) stepActive() error {
 // runs serially and in (sender, adjacency) order, so every inbox is
 // deterministically ordered. In synchronous mode messages land in the
 // next round's buffers directly; in asynchronous mode each is scheduled
-// heapwise with its sampled delay.
+// heapwise with its sampled delay. Messages to fail-stopped nodes are
+// dropped and not counted.
 func (e *Engine) collect(ran []int) {
 	if e.async {
 		e.collectAsync(ran)
@@ -612,10 +622,25 @@ func (e *Engine) collect(ran []int) {
 	}
 	var delivered, words int64
 	stamp := e.stats.Rounds + 1 // the round the scratch buffers will serve
+	crashes := e.crashes > 0
 	harvest := func(u int) {
 		ctx := e.ctxs[u]
 		if ctx.wake {
 			e.schedule(u)
+		}
+		if msg := ctx.bcast; msg != nil {
+			ctx.bcast = nil
+			var copies int64
+			for i, v := range ctx.neighbors {
+				if crashes && e.ctxs[v].crashed {
+					continue // dropped on the floor at a fail-stopped node
+				}
+				e.push(v, stamp, Incoming{From: u, Edge: ctx.rev[i], Payload: msg})
+				copies++
+			}
+			delivered += copies
+			words += copies * int64(msg.Words())
+			return
 		}
 		if ctx.sent == 0 {
 			return
@@ -626,15 +651,10 @@ func (e *Engine) collect(ran []int) {
 			}
 			ctx.out[i] = nil
 			v := ctx.neighbors[i]
-			if e.ctxs[v].crashed {
-				continue // dropped on the floor at a fail-stopped node
+			if crashes && e.ctxs[v].crashed {
+				continue
 			}
-			if e.inboxStamp[v] != stamp {
-				e.inboxStamp[v] = stamp
-				e.scratch[v] = e.scratch[v][:0] // lazy per-receiver reset
-			}
-			e.schedule(v)
-			e.scratch[v] = append(e.scratch[v], Incoming{From: u, Payload: msg})
+			e.push(v, stamp, Incoming{From: u, Edge: ctx.rev[i], Payload: msg})
 			delivered++
 			words += int64(msg.Words())
 		}
@@ -655,11 +675,36 @@ func (e *Engine) collect(ran []int) {
 	e.delivered = delivered
 }
 
+// push appends in to v's inbox for round stamp. v's first delivery of the
+// round readies the buffer (lazy per-receiver reset) and schedules v.
+func (e *Engine) push(v, stamp int, in Incoming) {
+	if e.inboxStamp[v] != stamp {
+		e.inboxStamp[v] = stamp
+		e.open(e.scratch, v)
+		e.schedule(v)
+	}
+	e.scratch[v] = append(e.scratch[v], in)
+}
+
+// open readies bufs[v] for a round's deliveries: it truncates what an
+// older round left, or allocates the buffer at v's degree on its first
+// use. An edge carries at most one message per direction and round, so
+// the degree bounds every inbox and the buffer never regrows.
+func (e *Engine) open(bufs [][]Incoming, v int) {
+	if cap(bufs[v]) == 0 {
+		bufs[v] = make([]Incoming, 0, len(e.ctxs[v].neighbors))
+	} else {
+		bufs[v] = bufs[v][:0]
+	}
+}
+
 // collectAsync schedules each queued message for a future round with a
 // uniform delay in [1, MaxDelay], clamped so deliveries on one directed
 // edge stay FIFO and respect the one-message-per-edge-per-round bandwidth
-// on the receiving side. Wake requests still take effect next round, so
-// they go straight onto the active list.
+// on the receiving side. A broadcast is expanded edge by edge in
+// adjacency order, so delays are drawn in (sender, adjacency) order. Wake
+// requests still take effect next round, so they go straight onto the
+// active list.
 func (e *Engine) collectAsync(ran []int) {
 	now := e.stats.Rounds
 	var words int64
@@ -669,15 +714,19 @@ func (e *Engine) collectAsync(ran []int) {
 		if ctx.wake {
 			e.schedule(u)
 		}
-		if ctx.sent == 0 {
+		bcast := ctx.bcast
+		if bcast == nil && ctx.sent == 0 {
 			return
 		}
-		for i, msg := range ctx.out {
+		for i, v := range ctx.neighbors {
+			msg := bcast
 			if msg == nil {
-				continue
-			}
-			if e.ctxs[ctx.neighbors[i]].crashed {
+				if msg = ctx.out[i]; msg == nil {
+					continue
+				}
 				ctx.out[i] = nil
+			}
+			if e.crashes > 0 && e.ctxs[v].crashed {
 				continue // dropped at a fail-stopped node
 			}
 			due := now + 1 + int(e.delayRNG.Int64N(int64(e.cfg.MaxDelay)))
@@ -687,14 +736,13 @@ func (e *Engine) collectAsync(ran []int) {
 			ctx.lastDue[i] = due
 			e.seq++
 			heapPush(&e.future, futureDelivery{
-				due: due, seq: e.seq, to: ctx.neighbors[i],
-				inc: Incoming{From: u, Payload: msg},
+				due: due, seq: e.seq, to: v,
+				inc: Incoming{From: u, Edge: ctx.rev[i], Payload: msg},
 			})
 			count++
 			words += int64(msg.Words())
-			ctx.out[i] = nil
 		}
-		ctx.sent = 0
+		ctx.bcast, ctx.sent = nil, 0
 	}
 	if ran == nil {
 		for u := 0; u < e.g.N(); u++ {
@@ -719,7 +767,7 @@ func (e *Engine) deliverDue(round int) {
 		d := heapPop(&e.future)
 		if e.inboxStamp[d.to] != round {
 			e.inboxStamp[d.to] = round
-			e.inboxes[d.to] = e.inboxes[d.to][:0]
+			e.open(e.inboxes, d.to)
 		}
 		e.schedule(d.to)
 		e.inboxes[d.to] = append(e.inboxes[d.to], d.inc)

@@ -112,6 +112,104 @@ func TestMessageAccounting(t *testing.T) {
 	if e.Stats().Words != 2*wantMsgs {
 		t.Errorf("words = %d, want %d", e.Stats().Words, 2*wantMsgs)
 	}
+
+	// With one leaf crashed, the center's broadcast reaches 15 leaves and
+	// 15 answer: the copy dropped at the crashed leaf counts toward
+	// neither messages nor words.
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = &floodNode{}
+	}
+	e = NewEngine(g, nodes, Config{})
+	defer e.Close()
+	e.Crash(5)
+	if _, err := e.RunUntilQuiescent(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats(); got.Messages != 30 || got.Words != 60 {
+		t.Errorf("crashed leaf: %v, want 30 messages and 60 words", got)
+	}
+}
+
+// edgeProbe floods like floodNode, relaying with per-edge Sends at even
+// IDs and with Broadcast at odd ones, and counts deliveries whose Edge
+// does not name the sender.
+type edgeProbe struct {
+	dist      int
+	seen, bad int
+}
+
+func (p *edgeProbe) Init(ctx *Context) {
+	p.dist = -1
+	if ctx.ID() == 0 {
+		p.dist = 0
+		p.relay(ctx)
+	}
+}
+
+func (p *edgeProbe) Round(ctx *Context, inbox []Incoming) {
+	improved := false
+	for _, in := range inbox {
+		p.seen++
+		if in.Edge < 0 || in.Edge >= ctx.Degree() || ctx.Neighbors()[in.Edge] != in.From {
+			p.bad++
+		}
+		if m := in.Payload.(floodMsg); p.dist == -1 || m.hops < p.dist {
+			p.dist = m.hops
+			improved = true
+		}
+	}
+	if improved {
+		p.relay(ctx)
+	}
+}
+
+func (p *edgeProbe) relay(ctx *Context) {
+	msg := floodMsg{hops: p.dist + 1}
+	if ctx.ID()%2 == 1 {
+		ctx.Broadcast(msg)
+		return
+	}
+	for i := range ctx.Neighbors() {
+		ctx.Send(i, msg)
+	}
+}
+
+// TestIncomingEdge pins the engine's delivery contract: every delivered
+// message names the receiver's adjacency index of its sender, in every
+// execution mode and across a mid-run crash.
+func TestIncomingEdge(t *testing.T) {
+	g := graph.Make(graph.FamilyGeometric, 300, graph.UnitWeights(), 4)
+	for _, cfg := range []Config{
+		{Sequential: true},
+		{},
+		{MaxDelay: 4, Seed: 3, Sequential: true},
+		{MaxDelay: 4, Seed: 3},
+	} {
+		nodes := make([]Node, g.N())
+		probes := make([]*edgeProbe, g.N())
+		for i := range nodes {
+			probes[i] = &edgeProbe{}
+			nodes[i] = probes[i]
+		}
+		e := NewEngine(g, nodes, cfg)
+		if err := e.RunRounds(3); err != nil {
+			t.Fatal(err)
+		}
+		e.Crash(g.N() / 2)
+		if _, err := e.RunUntilQuiescent(0); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		var seen, bad int
+		for _, p := range probes {
+			seen += p.seen
+			bad += p.bad
+		}
+		if seen == 0 || bad != 0 {
+			t.Errorf("%+v: %d of %d deliveries named the wrong edge", cfg, bad, seen)
+		}
+	}
 }
 
 type panicNode struct {
@@ -159,6 +257,25 @@ func TestBandwidthEnforcement(t *testing.T) {
 		e := mk(func(ctx *Context) { ctx.SendTo(5, floodMsg{1}) })
 		e.Init()
 	})
+	// A broadcast takes the round's whole bandwidth on every edge.
+	for name, f := range map[string]func(ctx *Context){
+		"broadcast then send": func(ctx *Context) {
+			ctx.Broadcast(floodMsg{1})
+			ctx.Send(0, floodMsg{2})
+		},
+		"send then broadcast": func(ctx *Context) {
+			ctx.Send(0, floodMsg{1})
+			ctx.Broadcast(floodMsg{2})
+		},
+		"double broadcast": func(ctx *Context) {
+			ctx.Broadcast(floodMsg{1})
+			ctx.Broadcast(floodMsg{2})
+		},
+		"oversized broadcast": func(ctx *Context) { ctx.Broadcast(wideMsg{}) },
+		"nil broadcast":       func(ctx *Context) { ctx.Broadcast(nil) },
+	} {
+		expectPanic(t, name, func() { mk(f).Init() })
+	}
 }
 
 // wakeNode counts how many times Round ran without any inbox, driven purely

@@ -117,16 +117,3 @@ func (p *workerPool) shutdown() {
 		}
 	})
 }
-
-// parallelism picks the worker count for the legacy per-round fan-out: the
-// available CPUs, but never more workers than nodes.
-func parallelism(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}

@@ -1,16 +1,20 @@
 package congest
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"distsketch/internal/graph"
 )
 
-// The active-set scheduler must be observationally identical to the legacy
-// full-scan loop: same Stats, same node states, same trace — for every
-// graph family, in sequential, parallel, and asynchronous execution.
+// The active-set scheduler is checked against references that need no
+// second engine: the BFS hop counts of the graph, the per-round traffic a
+// synchronous flood must produce, and Stats recorded for the asynchronous
+// flood — for every graph family, in sequential, parallel, and
+// asynchronous execution.
 
 func floodOutcome(t *testing.T, g *graph.Graph, cfg Config) (Stats, []int, []RoundStat) {
 	t.Helper()
@@ -30,81 +34,134 @@ func floodOutcome(t *testing.T, g *graph.Graph, cfg Config) (Stats, []int, []Rou
 	return e.Stats(), dists, e.Trace()
 }
 
-func TestActiveSetMatchesFullScan(t *testing.T) {
+// asyncFloodStats is the cost of floodOutcome on graph.Make(f, 160,
+// UnitWeights, 9) with Config{MaxDelay: 4, Seed: 11}, recorded while the
+// engine still carried its legacy full-scan loop and both loops agreed.
+var asyncFloodStats = map[graph.Family]Stats{
+	graph.FamilyER:         {Rounds: 16, Messages: 1537, Words: 3074},
+	graph.FamilyGeometric:  {Rounds: 14, Messages: 6765, Words: 13530},
+	graph.FamilyGrid:       {Rounds: 45, Messages: 692, Words: 1384},
+	graph.FamilyRing:       {Rounds: 212, Messages: 326, Words: 652},
+	graph.FamilyTree:       {Rounds: 27, Messages: 318, Words: 636},
+	graph.FamilyBA:         {Rounds: 13, Messages: 1272, Words: 2544},
+	graph.FamilySmallWorld: {Rounds: 34, Messages: 834, Words: 1668},
+	graph.FamilyHyperCube:  {Rounds: 14, Messages: 973, Words: 1946},
+	graph.FamilyInternet:   {Rounds: 14, Messages: 843, Words: 1686},
+}
+
+func TestFloodMatchesBFS(t *testing.T) {
 	for _, f := range graph.AllFamilies() {
-		for _, cfg := range []Config{
-			{Sequential: true, Trace: true},
-			{Sequential: false, Trace: true},
-			{MaxDelay: 4, Seed: 11, Sequential: true, Trace: true},
-			{MaxDelay: 4, Seed: 11, Sequential: false, Trace: true},
-		} {
-			g := graph.Make(f, 160, graph.UnitWeights(), 9)
-			full := cfg
-			full.FullScan = true
-			sNew, dNew, trNew := floodOutcome(t, g, cfg)
-			sOld, dOld, trOld := floodOutcome(t, g, full)
-			if sNew != sOld {
-				t.Errorf("%s %+v: stats differ: active %v fullscan %v", f, cfg, sNew, sOld)
-			}
-			for v := range dNew {
-				if dNew[v] != dOld[v] {
-					t.Fatalf("%s %+v: node %d differs: active %d fullscan %d", f, cfg, v, dNew[v], dOld[v])
+		g := graph.Make(f, 160, graph.UnitWeights(), 9)
+		hops := graph.BFSHops(g, 0)
+		assertBFS := func(name string, dists []int) {
+			t.Helper()
+			for v := range dists {
+				if dists[v] != hops[v] {
+					t.Fatalf("%s %s: node %d flood dist %d, BFS %d", f, name, v, dists[v], hops[v])
 				}
 			}
-			if len(trNew) != len(trOld) {
-				t.Fatalf("%s %+v: trace lengths differ: %d vs %d", f, cfg, len(trNew), len(trOld))
+		}
+
+		// Synchronous: a node broadcasts once, in the round its hop
+		// count says, so trace entry r carries one 2-word message per
+		// edge end at hop r.
+		ecc := 0
+		for _, h := range hops {
+			ecc = max(ecc, h)
+		}
+		want := make([]RoundStat, ecc+2)
+		for r := range want {
+			want[r].Round = r
+		}
+		for v, h := range hops {
+			if h >= 0 {
+				want[h].Messages += int64(g.Degree(v))
+				want[h].Words += 2 * int64(g.Degree(v))
 			}
-			for i := range trNew {
-				if trNew[i] != trOld[i] {
-					t.Fatalf("%s %+v: trace entry %d differs: %+v vs %+v", f, cfg, i, trNew[i], trOld[i])
+		}
+		for _, cfg := range []Config{{Sequential: true, Trace: true}, {Trace: true}} {
+			name := fmt.Sprintf("sequential=%v", cfg.Sequential)
+			s, dists, tr := floodOutcome(t, g, cfg)
+			assertBFS(name, dists)
+			if len(tr) != len(want) || s.Rounds != ecc+1 {
+				t.Fatalf("%s %s: %d rounds, %d trace entries; want %d and %d", f, name, s.Rounds, len(tr), ecc+1, len(want))
+			}
+			var total Stats
+			for r := range tr {
+				if tr[r] != want[r] {
+					t.Fatalf("%s %s: trace entry %d = %+v, want %+v", f, name, r, tr[r], want[r])
 				}
+				total.Messages += tr[r].Messages
+				total.Words += tr[r].Words
 			}
+			if s.Messages != total.Messages || s.Words != total.Words {
+				t.Errorf("%s %s: stats %v, trace sums %v", f, name, s, total)
+			}
+		}
+
+		// Asynchronous: the same fixed point, parallel equal to
+		// sequential, and the recorded cost.
+		sSeq, dSeq, trSeq := floodOutcome(t, g, Config{MaxDelay: 4, Seed: 11, Sequential: true, Trace: true})
+		sPar, dPar, trPar := floodOutcome(t, g, Config{MaxDelay: 4, Seed: 11, Trace: true})
+		assertBFS("async-seq", dSeq)
+		assertBFS("async-par", dPar)
+		if sSeq != asyncFloodStats[f] || sPar != sSeq {
+			t.Errorf("%s async: stats seq %v par %v, recorded %v", f, sSeq, sPar, asyncFloodStats[f])
+		}
+		if !slices.Equal(trSeq, trPar) {
+			t.Errorf("%s async: traces differ between sequential and parallel", f)
 		}
 	}
 }
 
-// inboxRecorder records the exact (from, payload) sequence of every inbox
-// it ever sees, so tests can assert the delivery *ordering* — not just the
-// fixed point — is unchanged.
-type inboxRecorder struct {
+// inboxOrderProbe floods like floodNode and counts the inboxes it sees
+// that are not in strictly ascending sender order.
+type inboxOrderProbe struct {
 	floodNode
-	log []Incoming
+	inboxes, multi, unordered int
 }
 
-func (r *inboxRecorder) Round(ctx *Context, inbox []Incoming) {
-	r.log = append(r.log, inbox...)
-	r.floodNode.Round(ctx, inbox)
-}
-
-func TestActiveSetPreservesInboxOrder(t *testing.T) {
-	run := func(fullScan bool) [][]Incoming {
-		g := graph.Make(graph.FamilyER, 96, graph.UnitWeights(), 3)
-		nodes := make([]Node, g.N())
-		recs := make([]*inboxRecorder, g.N())
-		for i := range nodes {
-			recs[i] = &inboxRecorder{}
-			nodes[i] = recs[i]
+func (p *inboxOrderProbe) Round(ctx *Context, inbox []Incoming) {
+	p.inboxes++
+	if len(inbox) > 1 {
+		p.multi++
+	}
+	for i := 1; i < len(inbox); i++ {
+		if inbox[i-1].From >= inbox[i].From {
+			p.unordered++
+			break
 		}
-		e := NewEngine(g, nodes, Config{Sequential: true, FullScan: fullScan})
-		defer e.Close()
+	}
+	p.floodNode.Round(ctx, inbox)
+}
+
+// TestInboxOrderAscendingFrom pins the synchronous delivery order that
+// determinism rests on: collect harvests senders in ascending ID order, so
+// every inbox lists its senders in ascending order, whatever the worker
+// schedule.
+func TestInboxOrderAscendingFrom(t *testing.T) {
+	g := graph.Make(graph.FamilyER, 96, graph.UnitWeights(), 3)
+	for _, sequential := range []bool{true, false} {
+		nodes := make([]Node, g.N())
+		probes := make([]*inboxOrderProbe, g.N())
+		for i := range nodes {
+			probes[i] = &inboxOrderProbe{}
+			nodes[i] = probes[i]
+		}
+		e := NewEngine(g, nodes, Config{Sequential: sequential})
 		if _, err := e.RunUntilQuiescent(0); err != nil {
 			t.Fatal(err)
 		}
-		logs := make([][]Incoming, g.N())
-		for i := range logs {
-			logs[i] = recs[i].log
-		}
-		return logs
-	}
-	a, b := run(false), run(true)
-	for v := range a {
-		if len(a[v]) != len(b[v]) {
-			t.Fatalf("node %d: delivery count differs: %d vs %d", v, len(a[v]), len(b[v]))
-		}
-		for i := range a[v] {
-			if a[v][i] != b[v][i] {
-				t.Fatalf("node %d delivery %d: active %+v fullscan %+v", v, i, a[v][i], b[v][i])
+		e.Close()
+		var multi int
+		for v, p := range probes {
+			if p.unordered > 0 {
+				t.Errorf("sequential=%v: node %d saw %d of %d inboxes out of sender order", sequential, v, p.unordered, p.inboxes)
 			}
+			multi += p.multi
+		}
+		if multi == 0 {
+			t.Fatalf("sequential=%v: no inbox held two messages; the check is vacuous", sequential)
 		}
 	}
 }

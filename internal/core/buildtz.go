@@ -190,9 +190,9 @@ func buildTZPhased(g *graph.Graph, opt TZOptions, levels []int) (*TZResult, erro
 	}
 	res.Labels = make([]*sketch.TZLabel, n)
 	for u := 0; u < n; u++ {
-		// Phases accumulated bunch items in arbitrary per-phase order;
-		// SetBunch establishes the sorted representation invariant once
-		// per label.
+		// Phases accumulated bunch items in the order each phase first
+		// accepted their sources; SetBunch establishes the sorted
+		// representation invariant once per label.
 		tzs[u].label.SetBunch(tzs[u].items)
 		res.Labels[u] = tzs[u].label
 	}

@@ -120,7 +120,7 @@ func (nd *detectNode) Init(ctx *congest.Context) {
 
 func (nd *detectNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
-		from := ctx.NeighborIndex(in.From)
+		from := in.Edge
 		switch m := in.Payload.(type) {
 		case bfsMsg:
 			nd.onBFS(ctx, from)

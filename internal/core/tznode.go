@@ -19,11 +19,11 @@ type tzNode struct {
 	topLevel int // largest i with this node ∈ A_i; -1 if not in A_0
 	batch    int // announcements per message (bandwidth-B mode; ≥ 1)
 
-	phase  int            // current phase, or -1 outside phases
-	thresh graph.Dist     // d(u, A_{phase+1}), fixed for the phase
-	best   map[int]tzBest // source -> best distance seen this phase
-	queue  []int          // sources awaiting broadcast, oldest first
-	head   int            // queue[head] is the next source to send
+	phase  int        // current phase, or -1 outside phases
+	thresh graph.Dist // d(u, A_{phase+1}), fixed for the phase
+	best   tzTable    // source -> best distance seen this phase
+	queue  []int      // best entries awaiting broadcast, oldest first
+	head   int        // queue[head] is the next entry to send
 
 	// Results accumulated across phases. Bunch items may collect in the
 	// items scratch slice in any order: the harvest installs them with
@@ -37,10 +37,62 @@ type tzNode struct {
 }
 
 // tzBest is a source's best distance this phase, with whether it is
-// queued for broadcast, so one map lookup serves each announcement.
+// queued for broadcast, so one table probe serves each announcement.
 type tzBest struct {
+	src    int
 	dist   graph.Dist
 	queued bool
+}
+
+// tzTable maps a source to its tzBest for one phase: entries in insertion
+// order, indexed by an open-addressing table of entry index + 1 (0 marks
+// an empty slot) that is kept at most half full and probed linearly from
+// the probe-index hash of internal/sketch. An accepted estimate bounds the
+// true distance from above, so every entry but the node's own is a member
+// of B_i(u) and Lemma 3.6 bounds the size. The table is cleared, not
+// reallocated, at each phase start.
+type tzTable struct {
+	entries []tzBest
+	slots   []int32
+}
+
+// reset empties the table, keeping its storage.
+func (t *tzTable) reset() {
+	t.entries = t.entries[:0]
+	clear(t.slots)
+}
+
+// probe returns the slot holding src's entry, or the empty slot where it
+// belongs. The table must have slots.
+func (t *tzTable) probe(src int) uint32 {
+	mask := uint32(len(t.slots) - 1)
+	s := (uint32(src) * 0x9E3779B1) & mask
+	for t.slots[s] != 0 && t.entries[t.slots[s]-1].src != src {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// upsert returns the index in entries of src's entry, appending one at
+// distance Inf, not queued, if src has none.
+func (t *tzTable) upsert(src int) int {
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		t.grow()
+	}
+	s := t.probe(src)
+	if t.slots[s] == 0 {
+		t.entries = append(t.entries, tzBest{src: src, dist: graph.Inf})
+		t.slots[s] = int32(len(t.entries))
+	}
+	return int(t.slots[s] - 1)
+}
+
+// grow doubles the slot array and reinserts every entry.
+func (t *tzTable) grow() {
+	t.slots = make([]int32, max(16, 2*len(t.slots)))
+	for j, b := range t.entries {
+		t.slots[t.probe(b.src)] = int32(j + 1)
+	}
 }
 
 type pivotCand struct {
@@ -84,10 +136,11 @@ func (nd *tzNode) Init(*congest.Context) {}
 // topLevel == i — becomes a source: it announces 〈u, 0〉 on every edge.
 func (nd *tzNode) startPhase(i int) {
 	nd.phase = i
-	nd.best = make(map[int]tzBest)
+	nd.best.reset()
 	if nd.topLevel == i {
-		nd.best[nd.id] = tzBest{dist: 0, queued: true}
-		nd.queue = append(nd.queue, nd.id)
+		j := nd.best.upsert(nd.id)
+		nd.best.entries[j] = tzBest{src: nd.id, dist: 0, queued: true}
+		nd.queue = append(nd.queue, j)
 	}
 }
 
@@ -98,12 +151,12 @@ func (nd *tzNode) startPhase(i int) {
 func (nd *tzNode) finishPhase() {
 	i := nd.phase
 	cand := nd.chainBest
-	for v, b := range nd.best {
-		if v == nd.id {
+	for _, b := range nd.best.entries {
+		if b.src == nd.id {
 			continue
 		}
-		nd.items = append(nd.items, sketch.BunchItem{Node: v, Dist: b.dist, Level: i})
-		if c := (pivotCand{dist: b.dist, node: v}); lessCand(c, cand) {
+		nd.items = append(nd.items, sketch.BunchItem{Node: b.src, Dist: b.dist, Level: i})
+		if c := (pivotCand{dist: b.dist, node: b.src}); lessCand(c, cand) {
 			cand = c
 		}
 	}
@@ -115,14 +168,13 @@ func (nd *tzNode) finishPhase() {
 	nd.label.Pivots[i] = sketch.Pivot{Node: cand.node, Dist: cand.dist}
 	nd.chainBest = cand
 	nd.thresh = cand.dist // d(u, A_i), the threshold for phase i-1
-	nd.best = nil
 	nd.phase = -1
 	nd.queue, nd.head = nd.queue[:0], 0
 }
 
 func (nd *tzNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
-		w := ctx.NeighborIndex(in.From)
+		w := in.Edge
 		switch m := in.Payload.(type) {
 		case dataMsg:
 			nd.checkPhase(m.Phase)
@@ -152,16 +204,18 @@ func (nd *tzNode) checkPhase(p int) {
 // B_i(u)), then queue src for all neighbors unless it is queued already.
 func (nd *tzNode) accept(ctx *congest.Context, w, src int, dist graph.Dist) {
 	d := graph.AddDist(dist, ctx.WeightTo(w))
-	cur, seen := nd.best[src]
-	if !seen {
-		cur.dist = graph.Inf
-	}
-	if d >= nd.thresh || d >= cur.dist {
+	if d >= nd.thresh {
 		return
 	}
-	nd.best[src] = tzBest{dist: d, queued: true}
-	if !cur.queued {
-		nd.queue = append(nd.queue, src)
+	j := nd.best.upsert(src)
+	b := &nd.best.entries[j]
+	if d >= b.dist {
+		return
+	}
+	b.dist = d
+	if !b.queued {
+		b.queued = true
+		nd.queue = append(nd.queue, j)
 	}
 }
 
@@ -194,10 +248,8 @@ func (nd *tzNode) drain(ctx *congest.Context) {
 
 // pop dequeues the oldest queued source with its current best distance.
 func (nd *tzNode) pop() srcDist {
-	src := nd.queue[nd.head]
+	b := &nd.best.entries[nd.queue[nd.head]]
 	nd.head++
-	b := nd.best[src]
 	b.queued = false
-	nd.best[src] = b
-	return srcDist{Src: src, Dist: b.dist}
+	return srcDist{Src: b.src, Dist: b.dist}
 }

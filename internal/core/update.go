@@ -109,7 +109,7 @@ func (nd *updateNode) Init(ctx *congest.Context) {
 func (nd *updateNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
 		m := in.Payload.(streamMsg)
-		w := ctx.NeighborIndex(in.From)
+		w := in.Edge
 		d := graph.AddDist(m.Dist, ctx.WeightTo(w))
 		if cur, ok := nd.dist(m.Src); !ok || d < cur {
 			nd.delta[m.Src] = d

@@ -47,7 +47,7 @@ func (w *waveNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 		if !ok {
 			panic(fmt.Sprintf("core: wave node %d got %T", w.id, in.Payload))
 		}
-		from := ctx.NeighborIndex(in.From)
+		from := in.Edge
 		nd := graph.AddDist(m.Dist, ctx.WeightTo(from))
 		if nd < w.best || (nd == w.best && m.Src < w.bestSrc) {
 			w.best = nd
@@ -93,6 +93,6 @@ func (a *adoptNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 		if _, ok := in.Payload.(adoptMsg); !ok {
 			panic(fmt.Sprintf("core: adopt node got %T", in.Payload))
 		}
-		a.children = append(a.children, ctx.NeighborIndex(in.From))
+		a.children = append(a.children, in.Edge)
 	}
 }
