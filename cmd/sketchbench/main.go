@@ -49,7 +49,6 @@ type benchReport struct {
 	LoadPath     []loadPathRun    `json:"load_path,omitempty"`
 	RoutedPath   []routedPathRun  `json:"routed_path,omitempty"`
 	RouterPath   []routerFaultRun `json:"router_path,omitempty"`
-	ChurnPath    []churnPathRun   `json:"churn_path,omitempty"`
 	TotalSeconds float64          `json:"total_seconds"`
 	OK           bool             `json:"ok"`
 }
@@ -124,24 +123,6 @@ type routerFaultRun struct {
 	HedgesWon    int64   `json:"hedges_won"`
 }
 
-// churnPathRun measures the batched repair pipeline under sustained
-// churn for one sketch kind: the same rounds of weight decreases applied
-// as whole batches (one clone-repair-verify per round), as per-edge
-// repairs (one cycle per change), and as full rebuilds. The batched
-// column winning is the point of the unified pipeline: the verification
-// pass is paid per batch, not per edge.
-type churnPathRun struct {
-	Kind                  string  `json:"kind"`
-	Rounds                int     `json:"rounds"`
-	BatchEdges            int     `json:"batch_edges"`
-	BatchedSeconds        float64 `json:"batched_seconds"`
-	PerEdgeSeconds        float64 `json:"per_edge_seconds"`
-	RebuildSeconds        float64 `json:"rebuild_seconds"`
-	BatchedEdgesPerSecond float64 `json:"batched_edges_per_second"`
-	BatchSpeedup          float64 `json:"batched_vs_per_edge_speedup"`
-	RebuildSpeedup        float64 `json:"batched_vs_rebuild_speedup"`
-}
-
 // serverPathRun measures sketchserve's HTTP query throughput for one
 // sketch kind: one estimate per GET /query versus many pairs per
 // batched POST /query (amortizing the per-request handler overhead).
@@ -160,7 +141,6 @@ func main() {
 	queryBench := flag.Bool("querybench", true, "measure the decode-once vs byte-level query path per kind")
 	serveBench := flag.Bool("servebench", true, "measure sketchserve HTTP query throughput (single vs batched)")
 	loadBench := flag.Bool("loadbench", true, "measure set startup (heap copy vs mmap open) and routed vs direct query throughput")
-	churnBench := flag.Bool("churnbench", false, "measure batched vs per-edge vs rebuild repair under sustained churn (rebuilds every kind repeatedly; opt-in)")
 	routerBench := flag.Bool("routerbench", false, "measure routed availability under replica faults and the hedge's tail win (injects faults and delays; opt-in)")
 	flag.Parse()
 
@@ -241,18 +221,6 @@ func main() {
 		for _, r := range report.RouterPath {
 			fmt.Printf("%-22s  %7d  %8d  %8d  %6.3f  %11.2f  %8d  %7d  %6d\n",
 				r.Scenario, r.Queries, r.Answered, r.Degraded, r.Availability, r.P99Ms, r.Retries, r.HedgesFired, r.HedgesWon)
-		}
-		fmt.Println()
-	}
-	if *churnBench {
-		report.ChurnPath = runChurnBench()
-		fmt.Println("churn path: batched vs per-edge vs rebuild repair on 256-node geometric (4 rounds x 16 halved edges)")
-		fmt.Printf("%-10s  %10s  %10s  %10s  %12s  %10s  %10s\n",
-			"kind", "batched s", "per-edge s", "rebuild s", "edges/s", "vs edge", "vs rebuild")
-		for _, r := range report.ChurnPath {
-			fmt.Printf("%-10s  %10.3f  %10.3f  %10.3f  %12.0f  %9.1fx  %9.1fx\n",
-				r.Kind, r.BatchedSeconds, r.PerEdgeSeconds, r.RebuildSeconds,
-				r.BatchedEdgesPerSecond, r.BatchSpeedup, r.RebuildSpeedup)
 		}
 		fmt.Println()
 	}
@@ -714,133 +682,6 @@ func runRouterBench() []routerFaultRun {
 			Retries:      stats.Retries,
 			HedgesFired:  stats.HedgesFired,
 			HedgesWon:    stats.HedgesWon,
-		})
-	}
-	return out
-}
-
-// churnRound is one precomputed round of churn: the batch's change
-// records, the topology after the whole batch, and the chain of
-// intermediate topologies the per-edge path needs (each single-edge
-// repair must be told the graph as of that change only).
-type churnRound struct {
-	changes []distsketch.EdgeChange
-	next    *distsketch.Graph
-	inter   []*distsketch.Graph
-}
-
-// churnRounds precomputes the churn schedule outside the timers: rounds
-// of batchEdges distinct weight halvings, each round applied on top of
-// the previous one.
-func churnRounds(g *distsketch.Graph, rounds, batchEdges int) []churnRound {
-	out := make([]churnRound, 0, rounds)
-	pick := func(i, salt int) int { return (i*2654435761 + salt*40503) % g.M() }
-	cur := g
-	for r := 0; r < rounds; r++ {
-		seen := map[[2]int]bool{}
-		var changes []distsketch.EdgeChange
-		for i := 0; len(changes) < batchEdges && i < 4*g.M(); i++ {
-			e := cur.Edges()[pick(i, r)]
-			key := [2]int{e.U, e.V}
-			if seen[key] || e.Weight < 2 {
-				continue
-			}
-			seen[key] = true
-			changes = append(changes, distsketch.EdgeChange{U: e.U, V: e.V, PrevWeight: e.Weight})
-		}
-		halveOne := func(base *distsketch.Graph, u, v int) *distsketch.Graph {
-			nb := distsketch.NewGraphBuilder(base.N())
-			for _, x := range base.Edges() {
-				w := x.Weight
-				if x.U == u && x.V == v {
-					w = w / 2
-				}
-				nb.AddEdge(x.U, x.V, w)
-			}
-			ng, err := nb.Freeze()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "churnbench graph: %v\n", err)
-				os.Exit(1)
-			}
-			return ng
-		}
-		inter := make([]*distsketch.Graph, len(changes))
-		gg := cur
-		for i, c := range changes {
-			gg = halveOne(gg, c.U, c.V)
-			inter[i] = gg
-		}
-		out = append(out, churnRound{changes: changes, next: gg, inter: inter})
-		cur = gg
-	}
-	return out
-}
-
-// runChurnBench times the three maintenance strategies over identical
-// churn schedules for every sketch kind. All repairs are exact (the
-// repaired labels are byte-identical to the rebuild's), so the columns
-// compare equal-quality outcomes.
-func runChurnBench() []churnPathRun {
-	const (
-		n          = 256
-		rounds     = 4
-		batchEdges = 16
-	)
-	g, err := distsketch.NewRandomWeightedGraph(distsketch.FamilyGeometric, n, 10, 100, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churnbench graph: %v\n", err)
-		os.Exit(1)
-	}
-	schedule := churnRounds(g, rounds, batchEdges)
-	var out []churnPathRun
-	for _, kind := range []distsketch.Kind{
-		distsketch.KindTZ, distsketch.KindLandmark, distsketch.KindCDG, distsketch.KindGraceful,
-	} {
-		opts := distsketch.Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1}
-		set, err := distsketch.Build(g, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "churnbench %s: %v\n", kind, err)
-			os.Exit(1)
-		}
-		batched := set.Clone()
-		perEdge := set.Clone()
-		fail := func(err error) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "churnbench %s: %v\n", kind, err)
-				os.Exit(1)
-			}
-		}
-		var tBatch, tSingle, tRebuild time.Duration
-		edges := 0
-		for _, round := range schedule {
-			edges += len(round.changes)
-			start := time.Now()
-			_, err := batched.UpdateEdges(round.next, round.changes)
-			tBatch += time.Since(start)
-			fail(err)
-
-			start = time.Now()
-			for i, c := range round.changes {
-				_, err := perEdge.UpdateEdges(round.inter[i], []distsketch.EdgeChange{c})
-				fail(err)
-			}
-			tSingle += time.Since(start)
-
-			start = time.Now()
-			_, err = distsketch.Build(round.next, opts)
-			tRebuild += time.Since(start)
-			fail(err)
-		}
-		out = append(out, churnPathRun{
-			Kind:                  string(kind),
-			Rounds:                rounds,
-			BatchEdges:            batchEdges,
-			BatchedSeconds:        tBatch.Seconds(),
-			PerEdgeSeconds:        tSingle.Seconds(),
-			RebuildSeconds:        tRebuild.Seconds(),
-			BatchedEdgesPerSecond: float64(edges) / tBatch.Seconds(),
-			BatchSpeedup:          tSingle.Seconds() / tBatch.Seconds(),
-			RebuildSpeedup:        tRebuild.Seconds() / tBatch.Seconds(),
 		})
 	}
 	return out

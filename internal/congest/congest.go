@@ -247,7 +247,7 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 			rev[i] = cursor[a.To]
 			cursor[a.To]++
 		}
-		e.ctxs[u] = &Context{
+		ctx := &Context{
 			maxWords:  cfg.MaxWords,
 			wakeCount: e.wakeCount,
 			id:        u,
@@ -256,9 +256,12 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 			weights:   wts,
 			rev:       rev,
 			out:       make([]Message, len(adj)),
-			lastDue:   make([]int, len(adj)),
 			rng:       rand.New(rand.NewPCG(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)),
 		}
+		if e.async {
+			ctx.lastDue = make([]int, len(adj))
+		}
+		e.ctxs[u] = ctx
 	}
 	// Safety net for engines that are dropped without Close: the parked
 	// pool workers hold no reference back to the engine, so the engine
@@ -304,7 +307,7 @@ type Context struct {
 	round   int
 	out     []Message // out[i] = message queued for neighbors[i] this round
 	bcast   Message   // this round's broadcast; excludes every out[i]
-	lastDue []int     // async: last scheduled delivery round per edge (FIFO)
+	lastDue []int     // last scheduled delivery round per edge (FIFO); async engines only
 	wake    bool
 	crashed bool
 	sent    int

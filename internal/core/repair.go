@@ -45,9 +45,12 @@ import (
 // EdgeChange identifies one edge of the new topology whose weight
 // changed. PrevWeight is the edge's weight before the change when the
 // caller knows it (a serving layer holding the pre-change graph does),
-// or 0 for unknown. Landmark and TZ repairs never consult it — their
-// results are verified against the new graph directly — but CDG and
-// graceful repairs require it to certify the batch was decrease-only.
+// or 0 for unknown. Landmark repairs never consult it. TZ repairs use it
+// only for speed: a batch certified decrease-only (every change carries
+// it, none increased) takes the label test of repair_tz.go instead of a
+// Dijkstra per endpoint, and either way the result is verified against
+// the new graph. CDG and graceful repairs require it to certify the batch
+// was decrease-only.
 type EdgeChange struct {
 	U, V       int
 	PrevWeight graph.Dist
@@ -183,10 +186,12 @@ func repairLandmarkSet(g *graph.Graph, prev []sketch.Label, net []int, changes [
 }
 
 // repairTZSet repairs full-graph Thorup–Zwick labels: derive the
-// hierarchy from the labels, regrow every suspect cluster, then verify
-// the whole result with the exact truncated-cluster fixed-point check —
-// which makes the repair sound under arbitrary weight changes, increases
-// included (an unrepairable batch fails verification).
+// hierarchy from the labels, regrow every suspect cluster (found by the
+// label test for certified decrease-only batches, by the endpoint search
+// otherwise), then verify the whole result with the exact
+// truncated-cluster fixed-point check — which makes the repair sound
+// under arbitrary weight changes, increases included (an unrepairable
+// batch fails verification).
 func repairTZSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*RepairResult, error) {
 	n := g.N()
 	old := make([]*sketch.TZLabel, n)
@@ -209,7 +214,11 @@ func repairTZSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*Re
 		}
 		levels[u] = lv
 	}
-	hr, err := repairHierarchy(g, k, levels, old, endpointPairs(changes), false)
+	rule, pairs := endpointSearch, endpointPairs(changes)
+	if dec, err := requireDecreases(g, changes, "tz"); err == nil {
+		rule, pairs = labelTest, dec
+	}
+	hr, err := repairHierarchy(g, k, levels, old, pairs, rule, false)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +346,7 @@ func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int) ([
 		old[w] = nl
 		levels[w] = lv
 	}
-	hr, err := repairHierarchy(g, k, levels, old, pairs, true)
+	hr, err := repairHierarchy(g, k, levels, old, pairs, endpointSearch, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"container/heap"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -479,5 +481,207 @@ func BenchmarkShortestPathDiameter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ShortestPathDiameter(g)
+	}
+}
+
+// Reference Dijkstra and MultiSourceDijkstra over container/heap: the
+// versions on Heap must reproduce their Dist, Hops, Parent and nearest
+// exactly, ties included.
+
+type refSPItem struct {
+	node int
+	dist Dist
+	hops int
+}
+
+type refSPHeap []refSPItem
+
+func (h refSPHeap) Len() int { return len(h) }
+func (h refSPHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	if h[i].hops != h[j].hops {
+		return h[i].hops < h[j].hops
+	}
+	return h[i].node < h[j].node
+}
+func (h refSPHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refSPHeap) Push(x any)   { *h = append(*h, x.(refSPItem)) }
+func (h *refSPHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+func refDijkstra(g *Graph, src int) SSSPResult {
+	n := g.N()
+	res := SSSPResult{
+		Source: src,
+		Dist:   make([]Dist, n),
+		Hops:   make([]int, n),
+		Parent: make([]int, n),
+	}
+	for i := 0; i < n; i++ {
+		res.Dist[i] = Inf
+		res.Hops[i] = -1
+		res.Parent[i] = -1
+	}
+	res.Dist[src] = 0
+	res.Hops[src] = 0
+	done := make([]bool, n)
+	h := &refSPHeap{{node: src}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refSPItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, a := range g.Adj(u) {
+			nd := AddDist(it.dist, a.Weight)
+			nh := it.hops + 1
+			v := a.To
+			if nd < res.Dist[v] || (nd == res.Dist[v] && nh < res.Hops[v]) {
+				res.Dist[v] = nd
+				res.Hops[v] = nh
+				res.Parent[v] = u
+				heap.Push(h, refSPItem{node: v, dist: nd, hops: nh})
+			}
+		}
+	}
+	return res
+}
+
+type refMSItem struct {
+	node int
+	dist Dist
+	src  int
+}
+
+type refMSHeap []refMSItem
+
+func (h refMSHeap) Len() int { return len(h) }
+func (h refMSHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	if h[i].src != h[j].src {
+		return h[i].src < h[j].src
+	}
+	return h[i].node < h[j].node
+}
+func (h refMSHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refMSHeap) Push(x any)   { *h = append(*h, x.(refMSItem)) }
+func (h *refMSHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+func refMultiSourceDijkstra(g *Graph, sources []int) (dist []Dist, nearest []int) {
+	n := g.N()
+	dist = make([]Dist, n)
+	nearest = make([]int, n)
+	for i := 0; i < n; i++ {
+		dist[i] = Inf
+		nearest[i] = -1
+	}
+	h := &refMSHeap{}
+	for _, s := range sources {
+		if dist[s] == 0 && nearest[s] >= 0 && nearest[s] <= s {
+			continue
+		}
+		dist[s] = 0
+		nearest[s] = s
+		heap.Push(h, refMSItem{node: s, dist: 0, src: s})
+	}
+	done := make([]bool, n)
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refMSItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, a := range g.Adj(u) {
+			nd := AddDist(it.dist, a.Weight)
+			v := a.To
+			if nd < dist[v] || (nd == dist[v] && it.src < nearest[v]) {
+				dist[v] = nd
+				nearest[v] = it.src
+				heap.Push(h, refMSItem{node: v, dist: nd, src: it.src})
+			}
+		}
+	}
+	return dist, nearest
+}
+
+// TestDijkstraMatchesReference: on every family with weights 1–2, where
+// equal-length paths abound, Dijkstra equals the container/heap reference
+// in Dist, Hops and Parent from every source.
+func TestDijkstraMatchesReference(t *testing.T) {
+	for _, f := range AllFamilies() {
+		g := Make(f, 120, UniformWeights(1, 2), 71)
+		for src := 0; src < g.N(); src++ {
+			got, want := Dijkstra(g, src), refDijkstra(g, src)
+			for v := 0; v < g.N(); v++ {
+				if got.Dist[v] != want.Dist[v] || got.Hops[v] != want.Hops[v] || got.Parent[v] != want.Parent[v] {
+					t.Fatalf("%s src %d node %d: (dist %d, hops %d, parent %d), reference (%d, %d, %d)",
+						f, src, v, got.Dist[v], got.Hops[v], got.Parent[v], want.Dist[v], want.Hops[v], want.Parent[v])
+				}
+			}
+		}
+	}
+}
+
+// TestMultiSourceMatchesReference: the same for MultiSourceDijkstra's
+// distances and nearest sources, over random source sets (duplicates and
+// unsorted order included).
+func TestMultiSourceMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(72, 1))
+	for _, f := range AllFamilies() {
+		g := Make(f, 120, UniformWeights(1, 2), 72)
+		for trial := 0; trial < 20; trial++ {
+			sources := make([]int, 1+r.IntN(12))
+			for i := range sources {
+				sources[i] = r.IntN(g.N())
+			}
+			dist, nearest := MultiSourceDijkstra(g, sources)
+			wantDist, wantNearest := refMultiSourceDijkstra(g, sources)
+			for v := 0; v < g.N(); v++ {
+				if dist[v] != wantDist[v] || nearest[v] != wantNearest[v] {
+					t.Fatalf("%s sources %v node %d: (%d, %d), reference (%d, %d)", f, sources, v, dist[v], nearest[v], wantDist[v], wantNearest[v])
+				}
+			}
+		}
+	}
+}
+
+// TestHeapPopsInOrder: items with many equal keys come out in (Dist,
+// Tie, Node) order, and a drained heap is reused.
+func TestHeapPopsInOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(73, 1))
+	var h Heap
+	for round := 0; round < 3; round++ {
+		var all []HeapItem
+		for i := 0; i < 500; i++ {
+			it := HeapItem{Dist: Dist(r.IntN(20)), Tie: r.IntN(4), Node: r.IntN(50)}
+			h.Push(it)
+			all = append(all, it)
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
+		for i, want := range all {
+			if got := h.Pop(); got != want {
+				t.Fatalf("round %d pop %d: %+v, want %+v", round, i, got, want)
+			}
+		}
+		if h.Len() != 0 {
+			t.Fatalf("round %d: %d items left", round, h.Len())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 )
@@ -9,37 +8,6 @@ import (
 // This file holds the exact (centralized) shortest-path machinery used as
 // ground truth: Dijkstra, all-pairs wrappers, the hop diameter D, and the
 // shortest-path diameter S from the paper (Section 2.2).
-
-// spItem is a priority-queue entry ordered by (dist, hops, node). Including
-// hops in the order lets one Dijkstra pass compute h(u,v) = the minimum hop
-// count among all shortest u-v paths, which defines S.
-type spItem struct {
-	node int
-	dist Dist
-	hops int
-}
-
-type spHeap []spItem
-
-func (h spHeap) Len() int { return len(h) }
-func (h spHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].hops != h[j].hops {
-		return h[i].hops < h[j].hops
-	}
-	return h[i].node < h[j].node
-}
-func (h spHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *spHeap) Push(x any)   { *h = append(*h, x.(spItem)) }
-func (h *spHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // SSSPResult holds single-source shortest path output.
 type SSSPResult struct {
@@ -50,7 +18,9 @@ type SSSPResult struct {
 }
 
 // Dijkstra computes shortest paths from src, together with the minimum hop
-// count among all shortest paths to each node (needed for S).
+// count among all shortest paths to each node (needed for S). Its queue
+// orders entries by (dist, hops, node), so one pass settles every node on
+// a minimum-hop shortest path.
 func Dijkstra(g *Graph, src int) SSSPResult {
 	n := g.N()
 	res := SSSPResult{
@@ -67,23 +37,24 @@ func Dijkstra(g *Graph, src int) SSSPResult {
 	res.Dist[src] = 0
 	res.Hops[src] = 0
 	done := make([]bool, n)
-	h := &spHeap{{node: src}}
+	var h Heap
+	h.Push(HeapItem{Node: src})
 	for h.Len() > 0 {
-		it := heap.Pop(h).(spItem)
-		u := it.node
+		it := h.Pop()
+		u := it.Node
 		if done[u] {
 			continue
 		}
 		done[u] = true
 		for _, a := range g.Adj(u) {
-			nd := AddDist(it.dist, a.Weight)
-			nh := it.hops + 1
+			nd := AddDist(it.Dist, a.Weight)
+			nh := it.Tie + 1
 			v := a.To
 			if nd < res.Dist[v] || (nd == res.Dist[v] && nh < res.Hops[v]) {
 				res.Dist[v] = nd
 				res.Hops[v] = nh
 				res.Parent[v] = u
-				heap.Push(h, spItem{node: v, dist: nd, hops: nh})
+				h.Push(HeapItem{Dist: nd, Tie: nh, Node: v})
 			}
 		}
 	}
@@ -260,62 +231,36 @@ func MultiSourceDijkstra(g *Graph, sources []int) (dist []Dist, nearest []int) {
 		dist[i] = Inf
 		nearest[i] = -1
 	}
-	h := &msHeap{}
+	// Queue entries are ordered by (dist, source, node); Tie holds the
+	// source.
+	var h Heap
 	for _, s := range sources {
 		if dist[s] == 0 && nearest[s] >= 0 && nearest[s] <= s {
 			continue
 		}
 		dist[s] = 0
 		nearest[s] = s
-		heap.Push(h, msItem{node: s, dist: 0, src: s})
+		h.Push(HeapItem{Tie: s, Node: s})
 	}
 	done := make([]bool, n)
 	for h.Len() > 0 {
-		it := heap.Pop(h).(msItem)
-		u := it.node
+		it := h.Pop()
+		u := it.Node
 		if done[u] {
 			continue
 		}
 		done[u] = true
 		for _, a := range g.Adj(u) {
-			nd := AddDist(it.dist, a.Weight)
+			nd := AddDist(it.Dist, a.Weight)
 			v := a.To
-			if nd < dist[v] || (nd == dist[v] && it.src < nearest[v]) {
+			if nd < dist[v] || (nd == dist[v] && it.Tie < nearest[v]) {
 				dist[v] = nd
-				nearest[v] = it.src
-				heap.Push(h, msItem{node: v, dist: nd, src: it.src})
+				nearest[v] = it.Tie
+				h.Push(HeapItem{Dist: nd, Tie: it.Tie, Node: v})
 			}
 		}
 	}
 	return dist, nearest
-}
-
-type msItem struct {
-	node int
-	dist Dist
-	src  int
-}
-
-type msHeap []msItem
-
-func (h msHeap) Len() int { return len(h) }
-func (h msHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
-	}
-	return h[i].node < h[j].node
-}
-func (h msHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *msHeap) Push(x any)   { *h = append(*h, x.(msItem)) }
-func (h *msHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // parallelFor runs f(i) for i in [0,n) on up to GOMAXPROCS workers.

@@ -13,7 +13,6 @@
 package tz
 
 import (
-	"container/heap"
 	"fmt"
 
 	"distsketch/internal/graph"
@@ -56,32 +55,7 @@ func BuildHierarchy(g *graph.Graph, k int, levels []int) (*Oracle, error) {
 			return nil, fmt.Errorf("tz: node %d has level %d outside [-1,%d)", u, l, k)
 		}
 	}
-	o := &Oracle{G: g, K: k, Levels: levels}
-
-	// d(u, A_i) for every level, via one multi-source Dijkstra per level.
-	o.PivotDist = make([][]graph.Dist, k+1)
-	for i := 0; i <= k; i++ {
-		o.PivotDist[i] = make([]graph.Dist, n)
-	}
-	for u := 0; u < n; u++ {
-		o.PivotDist[k][u] = graph.Inf // A_k = ∅, d(u, A_k) = ∞ (§3.1)
-	}
-	for i := 0; i < k; i++ {
-		var ai []int
-		for u := 0; u < n; u++ {
-			if levels[u] >= i {
-				ai = append(ai, u)
-			}
-		}
-		if len(ai) == 0 {
-			for u := 0; u < n; u++ {
-				o.PivotDist[i][u] = graph.Inf
-			}
-			continue
-		}
-		dist, _ := graph.MultiSourceDijkstra(g, ai)
-		o.PivotDist[i] = dist
-	}
+	o := &Oracle{G: g, K: k, Levels: levels, PivotDist: LevelDistances(g, k, levels)}
 
 	// Clusters: for every hierarchy member w with top level l, grow the
 	// truncated Dijkstra ball C(w) = {u : d(u,w) < d(u, A_{l+1})} and
@@ -92,12 +66,20 @@ func BuildHierarchy(g *graph.Graph, k int, levels []int) (*Oracle, error) {
 	for u := 0; u < n; u++ {
 		o.Labels[u] = sketch.NewTZLabel(u, k)
 	}
+	gr := NewGrower(g)
 	for w := 0; w < n; w++ {
 		l := levels[w]
 		if l < 0 {
 			continue
 		}
-		o.growCluster(w, l)
+		gr.GrowCluster(w, o.PivotDist[l+1], func(u int, d graph.Dist) {
+			if u != w {
+				// Clusters are grown in ascending w order, so each label
+				// receives its bunch in sorted order and Set stays on its
+				// O(1) append fast path.
+				o.Labels[u].Set(w, d, l)
+			}
+		})
 	}
 
 	// Pivot chain (bottom-up over levels, per node): p_i(u) is the
@@ -110,6 +92,32 @@ func BuildHierarchy(g *graph.Graph, k int, levels []int) (*Oracle, error) {
 		o.Labels[u].Pivots = PivotChain(o.Labels[u].Bunch, u, levels[u], k)
 	}
 	return o, nil
+}
+
+// LevelDistances returns d(·, A_i) on g for i = 0..k, where A_i holds the
+// nodes whose level is at least i: one multi-source Dijkstra per
+// non-empty level, and all Inf for empty levels and for A_k = ∅ (§3.1).
+// Row l+1 is the truncation threshold of every level-l member's cluster.
+func LevelDistances(g *graph.Graph, k int, levels []int) [][]graph.Dist {
+	n := g.N()
+	out := make([][]graph.Dist, k+1)
+	for i := 0; i <= k; i++ {
+		var ai []int
+		for u := 0; u < n; u++ {
+			if levels[u] >= i {
+				ai = append(ai, u)
+			}
+		}
+		if len(ai) > 0 {
+			out[i], _ = graph.MultiSourceDijkstra(g, ai)
+			continue
+		}
+		out[i] = make([]graph.Dist, n)
+		for u := range out[i] {
+			out[i][u] = graph.Inf
+		}
+	}
+	return out
 }
 
 // PivotChain computes the pivot chain p_0..p_{k-1} of a node from its
@@ -166,17 +174,25 @@ func lexLess(a, b [2]int64) bool {
 	return a[1] < b[1]
 }
 
-// growCluster runs the truncated Dijkstra from w (top level l) and adds w
-// to the bunch of every member of C(w) except w itself.
-func (o *Oracle) growCluster(w, l int) {
-	GrowCluster(o.G, w, o.PivotDist[l+1], func(u int, d graph.Dist) {
-		if u != w {
-			// Clusters are grown in ascending w order (BuildHierarchy's
-			// outer loop), so each label receives its bunch in sorted
-			// order and Set stays on its O(1) append fast path.
-			o.Labels[u].Set(w, d, l)
-		}
-	})
+// Grower regrows truncated clusters (§3.2) on one graph. Its distance
+// scratch holds Inf everywhere except at the nodes the running growth has
+// reached, which it resets on the way out, and its heap keeps its backing
+// array; so after the first growth a call allocates nothing and costs
+// O(cluster volume), never O(n). A Grower is not safe for concurrent use.
+type Grower struct {
+	g       *graph.Graph
+	dist    []graph.Dist
+	reached []int
+	heap    graph.Heap
+}
+
+// NewGrower returns a Grower for g.
+func NewGrower(g *graph.Graph) *Grower {
+	dist := make([]graph.Dist, g.N())
+	for u := range dist {
+		dist[u] = graph.Inf
+	}
+	return &Grower{g: g, dist: dist}
 }
 
 // GrowCluster runs the truncated Dijkstra of §3.2 from hierarchy member w:
@@ -187,55 +203,38 @@ func (o *Oracle) growCluster(w, l int) {
 // itself in the cluster. Shared by BuildHierarchy and the incremental
 // repair path, which regrows exactly the clusters a weight change can have
 // touched.
-func GrowCluster(g *graph.Graph, w int, thresh []graph.Dist, visit func(u int, d graph.Dist)) {
-	dist := map[int]graph.Dist{w: 0}
-	h := &clusterHeap{{node: w, dist: 0}}
+func (gr *Grower) GrowCluster(w int, thresh []graph.Dist, visit func(u int, d graph.Dist)) {
+	dist, h := gr.dist, &gr.heap
+	dist[w] = 0
+	gr.reached = append(gr.reached, w)
+	h.Push(graph.HeapItem{Node: w})
 	for h.Len() > 0 {
-		it := heap.Pop(h).(clusterItem)
-		u := it.node
-		if d, ok := dist[u]; !ok || it.dist > d {
+		it := h.Pop()
+		u := it.Node
+		if it.Dist > dist[u] {
 			continue // stale entry
 		}
-		if it.dist >= thresh[u] {
+		if it.Dist >= thresh[u] {
 			continue // u ∉ C(w): do not expand through it
 		}
-		visit(u, it.dist)
-		for _, a := range g.Adj(u) {
-			nd := graph.AddDist(it.dist, a.Weight)
+		visit(u, it.Dist)
+		for _, a := range gr.g.Adj(u) {
+			nd := graph.AddDist(it.Dist, a.Weight)
 			v := a.To
-			if nd >= thresh[v] {
+			if nd >= thresh[v] || nd >= dist[v] {
 				continue
 			}
-			if d, ok := dist[v]; !ok || nd < d {
-				dist[v] = nd
-				heap.Push(h, clusterItem{node: v, dist: nd})
+			if dist[v] == graph.Inf {
+				gr.reached = append(gr.reached, v)
 			}
+			dist[v] = nd
+			h.Push(graph.HeapItem{Dist: nd, Node: v})
 		}
 	}
-}
-
-type clusterItem struct {
-	node int
-	dist graph.Dist
-}
-
-type clusterHeap []clusterItem
-
-func (h clusterHeap) Len() int { return len(h) }
-func (h clusterHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+	for _, u := range gr.reached {
+		dist[u] = graph.Inf
 	}
-	return h[i].node < h[j].node
-}
-func (h clusterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *clusterHeap) Push(x any)   { *h = append(*h, x.(clusterItem)) }
-func (h *clusterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	gr.reached = gr.reached[:0]
 }
 
 // Query returns the stretch-(2k-1) estimate between u and v (Lemma 3.2).

@@ -2,6 +2,7 @@ package tz
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"distsketch/internal/eval"
@@ -423,5 +424,71 @@ func BenchmarkQueryTZ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Query(i%256, (i*7+13)%256)
+	}
+}
+
+// TestGrowClusterVisitOrder: on every family, GrowCluster visits exactly
+// C(w) = {u : d(u, w) < d(u, A_{l+1})}, in ascending (dist, ID) order as
+// a full Dijkstra from w ranks them. One Grower serves every cluster, so
+// this also checks that the scratch is left clean between growths.
+func TestGrowClusterVisitOrder(t *testing.T) {
+	type visit struct {
+		u int
+		d graph.Dist
+	}
+	for _, f := range graph.AllFamilies() {
+		g := graph.Make(f, 96, graph.UniformWeights(1, 4), 81)
+		for _, k := range []int{1, 2, 3} {
+			o := mustBuild(t, g, k, 81)
+			gr := NewGrower(g)
+			for w := 0; w < g.N(); w++ {
+				thresh := o.PivotDist[o.Levels[w]+1]
+				sp := graph.Dijkstra(g, w)
+				var want []visit
+				for u := 0; u < g.N(); u++ {
+					if sp.Dist[u] < thresh[u] {
+						want = append(want, visit{u, sp.Dist[u]})
+					}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].d != want[j].d {
+						return want[i].d < want[j].d
+					}
+					return want[i].u < want[j].u
+				})
+				var got []visit
+				gr.GrowCluster(w, thresh, func(u int, d graph.Dist) { got = append(got, visit{u, d}) })
+				if len(got) != len(want) {
+					t.Fatalf("%s k=%d w=%d: visited %d nodes, cluster has %d", f, k, w, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s k=%d w=%d: visit %d is %+v, want %+v", f, k, w, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGrowClusterAllocs: once a Grower's heap and reached list have grown,
+// a regrowth allocates nothing, however many nodes it pushes. A heap that
+// boxed each pushed entry (container/heap) would allocate once per push.
+func TestGrowClusterAllocs(t *testing.T) {
+	g := graph.Make(graph.FamilyGeometric, 512, graph.UniformWeights(1, 10), 82)
+	thresh := make([]graph.Dist, g.N()) // a top-level member: C(w) = V
+	for u := range thresh {
+		thresh[u] = graph.Inf
+	}
+	gr := NewGrower(g)
+	visited := 0
+	visit := func(int, graph.Dist) { visited++ }
+	gr.GrowCluster(0, thresh, visit) // warm the scratch
+	if visited != g.N() {
+		t.Fatalf("visited %d nodes, want all %d", visited, g.N())
+	}
+	allocs := testing.AllocsPerRun(20, func() { gr.GrowCluster(0, thresh, visit) })
+	if allocs > 0 {
+		t.Errorf("warm regrowth of a %d-node cluster allocates %.0f times, want 0", g.N(), allocs)
 	}
 }

@@ -463,13 +463,16 @@ func (s *SketchSet) Words() int64 { return s.cost.Total.Words }
 // EdgeChange identifies, for UpdateEdges, one edge of the new topology
 // whose weight changed. PrevWeight is the edge's weight before the
 // change when the caller knows it (a server holding the pre-change graph
-// does), or 0 for unknown. Landmark and TZ repairs never consult it —
-// their results are verified exact against the new graph directly — but
-// CDG and graceful repairs require it: their labels cover only the
-// density net, so exactness cannot be checked after the fact and
-// soundness instead demands a certified decrease-only batch. A CDG or
-// graceful batch with an unknown PrevWeight, or one covering an
-// increase, is rejected with ErrRebuildRequired.
+// does), or 0 for unknown. Landmark repairs never consult it. TZ repairs
+// are verified exact against the new graph directly and use it only for
+// speed: a batch whose every change carries it and decreases (or keeps)
+// the weight finds the clusters to regrow from the old labels instead of
+// running a Dijkstra per changed edge's endpoint. CDG and graceful
+// repairs require it: their labels cover only the density net, so
+// exactness cannot be checked after the fact and soundness instead
+// demands a certified decrease-only batch. A CDG or graceful batch with
+// an unknown PrevWeight, or one covering an increase, is rejected with
+// ErrRebuildRequired.
 type EdgeChange struct {
 	U, V       int
 	PrevWeight Dist
@@ -577,9 +580,10 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 // changed. It is exactly UpdateEdges with a one-element batch — there is
 // one repair code path — so it supports every kind on the same terms.
 // Note the single-edge form carries no PrevWeight: landmark and TZ sets
-// repair fine (their results are verified directly), but CDG and
-// graceful sets always answer ErrRebuildRequired here; use UpdateEdges
-// with EdgeChange.PrevWeight set instead.
+// repair fine (their results are verified directly; TZ takes the slower
+// endpoint search), but CDG and graceful sets always answer
+// ErrRebuildRequired here; use UpdateEdges with EdgeChange.PrevWeight set
+// instead.
 func (s *SketchSet) UpdateEdge(g *Graph, a, b int) (Stats, error) {
 	return s.UpdateEdges(g, []EdgeChange{{U: a, V: b}})
 }
