@@ -1,11 +1,11 @@
 package distsketch
 
 // Pluggable read-only payload backing for sketch sets. A set built in
-// process (or loaded eagerly) owns its labels on the heap; a set opened
-// with OpenSketchSet points its lazy version-2/3 blobs straight into an
-// mmap'd envelope file, so a multi-GB sketch set serves from the page
-// cache with an O(n) directory scan at startup, zero payload-byte
-// copies, and the OS evicting labels nobody queries.
+// process owns its labels on the heap; a set opened with OpenSketchSet
+// points its stored blobs straight into an mmap'd envelope file, so a
+// multi-GB sketch set serves from the page cache with an O(n) directory
+// scan at startup, zero payload-byte copies, and the OS evicting labels
+// nobody queries.
 //
 // Lifecycle: the mapping is reference-counted per SketchSet handle.
 // OpenSketchSet returns a handle holding one reference; Clone takes
@@ -37,7 +37,7 @@ import (
 // instead of faulting on unmapped pages.
 var ErrSetClosed = errors.New("distsketch: sketch set is closed")
 
-// backing owns the byte region a lazily loaded set's blobs point into
+// backing owns the byte region a loaded set's stored blobs point into
 // when that region is not ordinary heap memory. refs counts the
 // SketchSet handles sharing it; the region is released when the last
 // handle drops (Close, Materialize, or finalizer).
@@ -143,9 +143,8 @@ func (s *SketchSet) adoptBacking(b *backing) {
 // The same recovery behavior as LoadSketchSet applies: stale temp files
 // from an interrupted save are swept first, and a torn or corrupt
 // envelope is quarantined to path+".corrupt" with a typed
-// *ErrCorruptEnvelope. A version-1 envelope has no directory to scan
-// lazily, so it is decoded eagerly and the mapping is dropped before
-// returning — the result is an ordinary heap-backed set.
+// *ErrCorruptEnvelope; an unsupported envelope version counts as
+// corrupt.
 //
 // The returned set (and every Clone of it) must be Closed when no
 // longer queried; see Close for the lifecycle.
@@ -171,21 +170,12 @@ func OpenSketchSet(path string) (*SketchSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distsketch: mapping %s: %w", path, err)
 	}
-	release := func() {
+	set, err := parseMappedEnvelope(data)
+	if err != nil {
 		if unmap != nil {
 			_ = unmap(data)
 		}
-	}
-	set, err := parseMappedEnvelope(data)
-	if err != nil {
-		release()
 		return nil, quarantineOpen(path, err)
-	}
-	if set.lazy == nil {
-		// Version-1 envelope: every label was decoded onto the heap during
-		// the parse, so nothing references the mapping.
-		release()
-		return set, nil
 	}
 	b := &backing{data: data, mapped: mapped, unmap: unmap}
 	b.refs.Store(1)
@@ -197,8 +187,8 @@ func OpenSketchSet(path string) (*SketchSet, error) {
 // data (a mapping of the whole file). Unlike the streaming
 // ReadSketchSet, the payload length is corroborated against the real
 // file size instead of an allocation cap — a mapped payload costs
-// address space, not heap — and the v2/v3 blob slices point into data
-// with zero copies.
+// address space, not heap — and the blob slices point into data with
+// zero copies.
 func parseMappedEnvelope(data []byte) (*SketchSet, error) {
 	headLen := len(setMagic) + 1
 	if len(data) < headLen+1 {
@@ -208,8 +198,8 @@ func parseMappedEnvelope(data []byte) (*SketchSet, error) {
 		return nil, corrupt(0, "not a sketch set (bad magic)")
 	}
 	version := int(data[len(setMagic)])
-	if version < SetVersion1 || version > SetVersion3 {
-		return nil, corrupt(int64(len(setMagic)), "unsupported sketch-set version %d (this build reads versions %d through %d)", version, SetVersion1, SetVersion3)
+	if err := checkVersion(version); err != nil {
+		return nil, err
 	}
 	plen, vn := binary.Uvarint(data[headLen:])
 	if vn <= 0 {

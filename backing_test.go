@@ -1,9 +1,8 @@
 package distsketch
 
 // Lifecycle and zero-copy coverage for the mmap envelope backing: open
-// must not copy payload bytes, Clone/Close must refcount the mapping
-// through the serving layer's clone-repair-swap discipline, and a
-// version-1 envelope must fall back to an ordinary heap set.
+// must not copy payload bytes, and Clone/Close must refcount the mapping
+// through the serving layer's clone-repair-swap discipline.
 
 import (
 	"bytes"
@@ -282,7 +281,7 @@ func TestCloneRepairSwapOnMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := opened.Clone()
-	if _, err := clone.UpdateEdge(next, e.U, e.V); err != nil {
+	if _, err := clone.UpdateEdges(next, []EdgeChange{{U: e.U, V: e.V}}); err != nil {
 		t.Fatal(err)
 	}
 	// The repair materialized the clone, so its backing reference is
@@ -358,31 +357,6 @@ func TestConcurrentQueriesWithCloneClose(t *testing.T) {
 	}
 	if err := opened.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOpenSketchSetV1Eager: a version-1 envelope has no directory to
-// map lazily, so OpenSketchSet decodes it eagerly and drops the
-// mapping — the result is an ordinary heap set with no Close
-// obligation.
-func TestOpenSketchSetV1Eager(t *testing.T) {
-	set, _ := buildBackingSet(t)
-	opened, err := OpenSketchSet(saveTemp(t, set, SetVersion1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.Backing() != "heap" || opened.MappedBytes() != 0 {
-		t.Fatalf("v1 open: backing=%s mapped=%d, want heap/0", opened.Backing(), opened.MappedBytes())
-	}
-	if opened.DecodedSketches() != opened.N() {
-		t.Fatalf("v1 open decoded %d/%d", opened.DecodedSketches(), opened.N())
-	}
-	for u := 0; u < set.N(); u += 19 {
-		for v := u; v < set.N(); v += 31 {
-			if got, want := opened.Query(u, v), set.Query(u, v); got != want {
-				t.Fatalf("(%d,%d): v1-open %d != built %d", u, v, got, want)
-			}
-		}
 	}
 }
 

@@ -40,16 +40,13 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		if err != nil {
 			return nil, err
 		}
-		set := &SketchSet{kind: KindTZ, cost: costOf(res.Cost)}
+		set := &SketchSet{kind: KindTZ, labels: builtStore(KindTZ, res.Labels), cost: costOf(res.Cost)}
 		// Execution order is phase k-1 down to 0.
 		for phase := o.K - 1; phase >= 0; phase-- {
 			set.cost.Phases = append(set.cost.Phases, PhaseCost{
 				Name:  fmt.Sprintf("phase %d", phase),
 				Stats: statsOf(res.Cost.PerPhase[phase]),
 			})
-		}
-		for _, l := range res.Labels {
-			set.sketches = append(set.sketches, &Sketch{kind: KindTZ, label: l})
 		}
 		return set, nil
 	case KindLandmark:
@@ -59,11 +56,8 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		if err != nil {
 			return nil, err
 		}
-		set := &SketchSet{kind: KindLandmark, cost: costOf(res.Cost), net: res.Net}
+		set := &SketchSet{kind: KindLandmark, labels: builtStore(KindLandmark, res.Labels), cost: costOf(res.Cost), net: res.Net}
 		set.cost.Phases = []PhaseCost{{Name: "landmark", Stats: statsOf(res.Cost.Total)}}
-		for _, l := range res.Labels {
-			set.sketches = append(set.sketches, &Sketch{kind: KindLandmark, label: l})
-		}
 		return set, nil
 	case KindCDG:
 		res, err := core.BuildCDG(g, core.SlackOptions{
@@ -72,14 +66,11 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		if err != nil {
 			return nil, err
 		}
-		set := &SketchSet{kind: KindCDG, cost: costOf(res.Cost)}
+		set := &SketchSet{kind: KindCDG, labels: builtStore(KindCDG, res.Labels), cost: costOf(res.Cost)}
 		set.cost.Phases = []PhaseCost{
 			{Name: "wave", Stats: statsOf(res.WaveCost)},
 			{Name: "net-tz", Stats: statsOf(res.TZCost)},
 			{Name: "ship", Stats: statsOf(res.ShipCost)},
-		}
-		for _, l := range res.Labels {
-			set.sketches = append(set.sketches, &Sketch{kind: KindCDG, label: l})
 		}
 		return set, nil
 	case KindGraceful:
@@ -89,15 +80,12 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		if err != nil {
 			return nil, err
 		}
-		set := &SketchSet{kind: KindGraceful, cost: costOf(res.Cost)}
+		set := &SketchSet{kind: KindGraceful, labels: builtStore(KindGraceful, res.Labels), cost: costOf(res.Cost)}
 		for i, st := range res.PerLevel {
 			set.cost.Phases = append(set.cost.Phases, PhaseCost{
 				Name:  fmt.Sprintf("level %d", i+1),
 				Stats: statsOf(st),
 			})
-		}
-		for _, l := range res.Labels {
-			set.sketches = append(set.sketches, &Sketch{kind: KindGraceful, label: l})
 		}
 		return set, nil
 	default:

@@ -48,8 +48,8 @@ func TestCloneIsolatesOriginalRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.UpdateEdge(g2, edge.U, edge.V); err != nil {
-		t.Fatalf("UpdateEdge on the original: %v", err)
+	if _, err := set.UpdateEdges(g2, []EdgeChange{{U: edge.U, V: edge.V}}); err != nil {
+		t.Fatalf("UpdateEdges on the original: %v", err)
 	}
 
 	changed := false
@@ -111,7 +111,7 @@ func TestCloneSharesLazyDecodeCache(t *testing.T) {
 	if clone.DecodedSketches() != eager.N() {
 		t.Errorf("materialized clone reports %d/%d decoded", clone.DecodedSketches(), eager.N())
 	}
-	if lazy.lazy == nil {
+	if lazy.labels.blobs == nil {
 		t.Fatal("materializing the clone dropped the original's lazy state")
 	}
 	if got, want := lazy.Query(1, 4), eager.Query(1, 4); got != want {

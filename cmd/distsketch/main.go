@@ -51,7 +51,6 @@ func main() {
 	load := flag.String("load", "", "read the network from an edge-list file instead of generating one")
 	save := flag.String("save", "", "write the generated network to an edge-list file")
 	saveSet := flag.String("saveset", "", "write the built sketch set to this file")
-	setVersion := flag.Int("setversion", distsketch.SetVersion2, "envelope version for -saveset: 2 (lazy-loading directory) or 1 (legacy eager)")
 	loadSet := flag.String("loadset", "", "serve queries from a previously saved sketch set (skips the build)")
 	useMmap := flag.Bool("mmap", false, "open -loadset memory-mapped (zero payload copy)")
 	split := flag.Int("split", 0, "slice the set into this many node-range shard envelopes (with -splitout)")
@@ -153,11 +152,11 @@ func main() {
 		// Crash-safe save: temp file + fsync + atomic rename, so a kill at
 		// any instant leaves either the previous envelope or the new one —
 		// never a torn file the next -loadset trips over.
-		if err := distsketch.SaveSketchSet(*saveSet, set, *setVersion); err != nil {
+		if err := distsketch.SaveSketchSet(*saveSet, set, distsketch.SetVersion2); err != nil {
 			fatal(err)
 		}
 		if *summary {
-			fmt.Printf("saved:   %s (envelope v%d)\n", *saveSet, *setVersion)
+			fmt.Printf("saved:   %s (envelope v%d)\n", *saveSet, distsketch.SetVersion2)
 		}
 	}
 

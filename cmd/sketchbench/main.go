@@ -70,13 +70,12 @@ type queryPathRun struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-// loadPathRun measures set startup for one (kind, envelope version,
-// backing) triple: load latency and allocated bytes per label. Version
-// 1 decodes every label eagerly; version 2 scans the directory and
-// defers label decoding to first touch. Backing "heap" is the copying
-// ReadSketchSet path, "mmap" is OpenSketchSet mapping the envelope
-// file and touching no payload byte — the startup mode for sets larger
-// than RAM.
+// loadPathRun measures set startup for one (kind, backing) pair: load
+// latency and allocated bytes per label. Loading scans the envelope's
+// directory and defers label decoding to first touch. Backing "heap" is
+// the copying ReadSketchSet path, "mmap" is OpenSketchSet mapping the
+// envelope file and touching no payload byte — the startup mode for
+// sets larger than RAM.
 type loadPathRun struct {
 	Kind          string  `json:"kind"`
 	Version       int     `json:"envelope_version"`
@@ -199,7 +198,7 @@ func main() {
 	}
 	if *loadBench {
 		report.LoadPath = runLoadBench()
-		fmt.Println("load path: set startup on 256-node geometric envelopes (v1 eager vs v2 lazy; heap copy vs mmap open)")
+		fmt.Println("load path: set startup on 256-node geometric envelopes (heap copy vs mmap open)")
 		fmt.Printf("%-10s  %3s  %-7s  %12s  %14s  %16s\n", "kind", "ver", "backing", "bytes", "ns/label", "alloc B/label")
 		for _, r := range report.LoadPath {
 			fmt.Printf("%-10s  v%-2d  %-7s  %12d  %14.0f  %16.0f\n", r.Kind, r.Version, r.Backing, r.EnvelopeBytes, r.NsPerLabel, r.AllocPerLabel)
@@ -327,20 +326,24 @@ func runQueryBench() []queryPathRun {
 	return out
 }
 
-// runLoadBench times ReadSketchSet for both envelope versions over
-// every sketch kind, reporting per-label latency and allocated bytes.
-// The gap is what the version-2 directory removes from serving startup:
-// the eager path pays one full label decode per node, the lazy path an
-// O(n) directory scan with zero-copy blob slices.
+// runLoadBench times set startup from the envelope of every sketch kind
+// in both modes, reporting per-label latency and allocated bytes:
+// ReadSketchSet copies the payload onto the heap, OpenSketchSet maps the
+// file. Both scan the O(n) directory and point each blob into the
+// payload; the mmap row should allocate near nothing per label — only
+// the directory scan and the set header.
 func runLoadBench() []loadPathRun {
 	const (
 		n    = 256
 		reps = 50
 	)
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "loadbench "+format+"\n", args...)
+		os.Exit(1)
+	}
 	g, err := distsketch.NewRandomWeightedGraph(distsketch.FamilyGeometric, n, 1, 100, 1)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadbench graph: %v\n", err)
-		os.Exit(1)
+		fail("graph: %v", err)
 	}
 	var out []loadPathRun
 	for _, kind := range []distsketch.Kind{
@@ -348,79 +351,44 @@ func runLoadBench() []loadPathRun {
 	} {
 		set, err := distsketch.Build(g, distsketch.Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadbench %s: %v\n", kind, err)
-			os.Exit(1)
+			fail("%s: %v", kind, err)
 		}
-		for _, version := range []int{distsketch.SetVersion1, distsketch.SetVersion2} {
-			var env bytes.Buffer
-			if _, err := set.WriteToVersion(&env, version); err != nil {
-				fmt.Fprintf(os.Stderr, "loadbench %s v%d: %v\n", kind, version, err)
-				os.Exit(1)
-			}
-			blob := env.Bytes()
+		var env bytes.Buffer
+		if _, err := set.WriteTo(&env); err != nil {
+			fail("%s: %v", kind, err)
+		}
+		path := filepath.Join(os.TempDir(), fmt.Sprintf("loadbench-%s-%d.dsk", kind, os.Getpid()))
+		if err := os.WriteFile(path, env.Bytes(), 0o644); err != nil {
+			fail("%s: %v", kind, err)
+		}
+		readHeap := func() (*distsketch.SketchSet, error) { return distsketch.ReadSketchSet(bytes.NewReader(env.Bytes())) }
+		openMapped := func() (*distsketch.SketchSet, error) { return distsketch.OpenSketchSet(path) }
+		for _, load := range []func() (*distsketch.SketchSet, error){readHeap, openMapped} {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			var keep *distsketch.SketchSet
+			backing := ""
 			for r := 0; r < reps; r++ {
-				keep, err = distsketch.ReadSketchSet(bytes.NewReader(blob))
+				loaded, err := load()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "loadbench %s v%d: %v\n", kind, version, err)
-					os.Exit(1)
+					fail("%s: %v", kind, err)
 				}
+				backing = loaded.Backing()
+				loaded.Close()
 			}
 			took := time.Since(start)
 			runtime.ReadMemStats(&after)
-			runtime.KeepAlive(keep)
 			out = append(out, loadPathRun{
 				Kind:          string(kind),
-				Version:       version,
-				Backing:       "heap",
-				EnvelopeBytes: len(blob),
+				Version:       distsketch.SetVersion2,
+				Backing:       backing,
+				EnvelopeBytes: env.Len(),
 				NsPerLabel:    float64(took.Nanoseconds()) / float64(reps*n),
 				AllocPerLabel: float64(after.TotalAlloc-before.TotalAlloc) / float64(reps*n),
 			})
 		}
-
-		// The mmap row: same version-2 envelope, opened from a file
-		// with zero payload copies. Allocations per label should be
-		// near zero — only the directory scan and the set header.
-		var env bytes.Buffer
-		if _, err := set.WriteToVersion(&env, distsketch.SetVersion2); err != nil {
-			fmt.Fprintf(os.Stderr, "loadbench %s mmap: %v\n", kind, err)
-			os.Exit(1)
-		}
-		path := filepath.Join(os.TempDir(), fmt.Sprintf("loadbench-%s-%d.dsk", kind, os.Getpid()))
-		if err := os.WriteFile(path, env.Bytes(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "loadbench %s mmap: %v\n", kind, err)
-			os.Exit(1)
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		backing := ""
-		for r := 0; r < reps; r++ {
-			opened, err := distsketch.OpenSketchSet(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadbench %s mmap: %v\n", kind, err)
-				os.Exit(1)
-			}
-			backing = opened.Backing()
-			opened.Close()
-		}
-		took := time.Since(start)
-		runtime.ReadMemStats(&after)
 		os.Remove(path)
-		out = append(out, loadPathRun{
-			Kind:          string(kind),
-			Version:       distsketch.SetVersion2,
-			Backing:       backing,
-			EnvelopeBytes: env.Len(),
-			NsPerLabel:    float64(took.Nanoseconds()) / float64(reps*n),
-			AllocPerLabel: float64(after.TotalAlloc-before.TotalAlloc) / float64(reps*n),
-		})
 	}
 	return out
 }

@@ -1,15 +1,19 @@
 package distsketch
 
-// Envelope format tests: golden bytes pinning both envelope versions,
-// version-1 ↔ version-2 compatibility round trips, the lazy-loading
-// contract of version 2 (zero up-front label decodes, byte-identical
-// query results), and rejection of crafted version-2 envelopes.
+// Envelope format tests: golden bytes pinning version 2, rejection of
+// the retired version 1, the lazy-loading contract (zero up-front label
+// decodes, byte-identical query results), and rejection of crafted
+// version-2 envelopes.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"distsketch/internal/sketch"
@@ -22,8 +26,8 @@ func goldenEnvelopeSet() *SketchSet {
 	l0 := &sketch.LandmarkLabel{Owner: 0, Entries: []sketch.Entry{{Net: 1, D: 3}}}
 	l1 := &sketch.LandmarkLabel{Owner: 1, Entries: []sketch.Entry{{Net: 1, D: 0}}}
 	return &SketchSet{
-		kind:     KindLandmark,
-		sketches: []*Sketch{{kind: KindLandmark, label: l0}, {kind: KindLandmark, label: l1}},
+		kind:   KindLandmark,
+		labels: builtStore(KindLandmark, []*sketch.LandmarkLabel{l0, l1}),
 		cost: CostBreakdown{
 			Total:        Stats{Rounds: 2, Messages: 5, Words: 7},
 			DataMessages: 5,
@@ -33,10 +37,12 @@ func goldenEnvelopeSet() *SketchSet {
 	}
 }
 
-// goldenV1 and goldenV2 are the pinned envelope bytes of
-// goldenEnvelopeSet: magic, version, payload length, payload (kind tag,
-// node count, cost, phases, net, sketches — version 2 with the per-node
-// length+words directory ahead of the blobs), crc32.
+// goldenV1 and goldenV2 are the envelope bytes of goldenEnvelopeSet:
+// magic, version, payload length, payload (kind tag, node count, cost,
+// phases, net, sketches), crc32. goldenV2 is what WriteTo emits, with
+// the per-node length+words directory ahead of the blobs; goldenV1 is
+// the retired eager layout (length-prefixed blobs), kept as the input
+// every loader must reject.
 var goldenV1 = []byte{
 	0x44, 0x53, 0x4b, 0x53, 0x45, 0x54, 0x1, 0x24, 0x2, 0x2, 0x2, 0x5, 0x7, 0x5, 0x0, 0x0,
 	0x0, 0x1, 0x8, 0x6c, 0x61, 0x6e, 0x64, 0x6d, 0x61, 0x72, 0x6b, 0x2, 0x5, 0x7, 0x1, 0x1,
@@ -49,25 +55,46 @@ var goldenV2 = []byte{
 	0x5, 0x2, 0x5, 0x2, 0x2, 0x0, 0x2, 0x2, 0x6, 0x2, 0x2, 0x2, 0x2, 0x0, 0x98, 0xe5, 0xea, 0xd9,
 }
 
-// TestGoldenEnvelopeV1 pins the version-1 envelope byte for byte, so the
-// legacy format provably cannot drift while version 2 evolves.
-func TestGoldenEnvelopeV1(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := goldenEnvelopeSet().WriteToVersion(&buf, SetVersion1); err != nil {
-		t.Fatal(err)
+// TestEnvelopeV1Rejected: version 1 is no longer read. Every loader
+// rejects it as an unsupported version — a typed corruption error at
+// the version byte naming the supported range — and the file loaders
+// quarantine it like any other envelope they cannot trust.
+func TestEnvelopeV1Rejected(t *testing.T) {
+	check := func(what string, err error) *ErrCorruptEnvelope {
+		t.Helper()
+		var ce *ErrCorruptEnvelope
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: %v, want *ErrCorruptEnvelope", what, err)
+		}
+		if ce.Offset != int64(len(setMagic)) {
+			t.Errorf("%s: offset %d, want %d (the version byte)", what, ce.Offset, len(setMagic))
+		}
+		if msg := ce.Error(); !strings.Contains(msg, "version 1 ") || !strings.Contains(msg, "versions 2 through 3") {
+			t.Errorf("%s: message %q does not name version 1 and the supported range", what, msg)
+		}
+		return ce
 	}
-	if !bytes.Equal(buf.Bytes(), goldenV1) {
-		t.Fatalf("v1 envelope bytes drifted:\n got %#v\nwant %#v", buf.Bytes(), goldenV1)
-	}
-	set, err := ReadSketchSet(bytes.NewReader(goldenV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.EnvelopeVersion() != SetVersion1 || set.N() != 2 || set.Kind() != KindLandmark {
-		t.Fatalf("decoded golden v1: version=%d n=%d kind=%s", set.EnvelopeVersion(), set.N(), set.Kind())
-	}
-	if d := set.Query(0, 1); d != 3 {
-		t.Errorf("golden v1 query = %d, want 3", d)
+	_, err := ReadSketchSet(bytes.NewReader(goldenV1))
+	check("ReadSketchSet", err)
+
+	for name, load := range map[string]func(string) (*SketchSet, error){
+		"LoadSketchSet": LoadSketchSet,
+		"OpenSketchSet": OpenSketchSet,
+	} {
+		path := filepath.Join(t.TempDir(), "v1.dsk")
+		if err := os.WriteFile(path, goldenV1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := load(path)
+		if ce := check(name, err); ce.Path != path || ce.Quarantined != path+".corrupt" {
+			t.Errorf("%s: quarantine metadata %+v", name, ce)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Errorf("%s: quarantined file missing: %v", name, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: v1 file still in place: %v", name, err)
+		}
 	}
 }
 
@@ -99,89 +126,10 @@ func TestGoldenEnvelopeV2(t *testing.T) {
 	}
 }
 
-// TestGoldenEnvelopeCrossVersion: reading one version and writing the
-// other must reproduce the other golden file exactly — the payload
-// differs only in the sketch section layout.
-func TestGoldenEnvelopeCrossVersion(t *testing.T) {
-	fromV1, err := ReadSketchSet(bytes.NewReader(goldenV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := fromV1.WriteToVersion(&buf, SetVersion2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenV2) {
-		t.Error("v1 → read → v2 write does not reproduce the golden v2 envelope")
-	}
-	fromV2, err := ReadSketchSet(bytes.NewReader(goldenV2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if _, err := fromV2.WriteToVersion(&buf, SetVersion1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenV1) {
-		t.Error("v2 → read → v1 write does not reproduce the golden v1 envelope")
-	}
-}
-
-// TestEnvelopeCompatRoundTrip drives the full v1 → read → v2 → write →
-// read chain on real builds of every kind: cost accounting, sketch
-// bytes and estimates must survive unchanged in both directions.
-func TestEnvelopeCompatRoundTrip(t *testing.T) {
-	g, err := NewRandomWeightedGraph(FamilyGeometric, 64, 1, 20, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range allKinds {
-		t.Run(string(kind), func(t *testing.T) {
-			set, err := Build(g, Options{Kind: kind, K: 2, Eps: 0.25, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v1 bytes.Buffer
-			if _, err := set.WriteToVersion(&v1, SetVersion1); err != nil {
-				t.Fatal(err)
-			}
-			fromV1, err := ReadSketchSet(bytes.NewReader(v1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v2 bytes.Buffer
-			if _, err := fromV1.WriteToVersion(&v2, SetVersion2); err != nil {
-				t.Fatal(err)
-			}
-			fromV2, err := ReadSketchSet(bytes.NewReader(v2.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fromV2.Cost().Total != set.Cost().Total || fromV2.N() != set.N() {
-				t.Fatal("header or cost changed across the version round trip")
-			}
-			for u := 0; u < set.N(); u++ {
-				if !bytes.Equal(fromV2.SketchBytes(u), set.SketchBytes(u)) {
-					t.Fatalf("node %d: sketch bytes differ after v1→v2 round trip", u)
-				}
-			}
-			// And back: a lazily loaded set re-emits version 1 byte-identically
-			// without decoding anything.
-			var v1Again bytes.Buffer
-			if _, err := fromV2.WriteToVersion(&v1Again, SetVersion1); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(v1Again.Bytes(), v1.Bytes()) {
-				t.Fatal("v2 → v1 write does not reproduce the original v1 envelope")
-			}
-		})
-	}
-}
-
 // TestLazyLoadEquivalence pins the acceptance contract of envelope v2:
 // loading performs zero full-label decodes up front, and every query
-// against the lazily loaded set returns exactly what the eagerly loaded
-// version-1 set returns.
+// against the lazily loaded set returns exactly what the built set
+// returns.
 func TestLazyLoadEquivalence(t *testing.T) {
 	g, err := NewRandomWeightedGraph(FamilyGeometric, 64, 1, 20, 11)
 	if err != nil {
@@ -189,19 +137,12 @@ func TestLazyLoadEquivalence(t *testing.T) {
 	}
 	for _, kind := range allKinds {
 		t.Run(string(kind), func(t *testing.T) {
-			set, err := Build(g, Options{Kind: kind, K: 2, Eps: 0.25, Seed: 11})
+			eager, err := Build(g, Options{Kind: kind, K: 2, Eps: 0.25, Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var v1, v2 bytes.Buffer
-			if _, err := set.WriteToVersion(&v1, SetVersion1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := set.WriteToVersion(&v2, SetVersion2); err != nil {
-				t.Fatal(err)
-			}
-			eager, err := ReadSketchSet(bytes.NewReader(v1.Bytes()))
-			if err != nil {
+			var v2 bytes.Buffer
+			if _, err := eager.WriteToVersion(&v2, SetVersion2); err != nil {
 				t.Fatal(err)
 			}
 			// The lazy load honors the DISTSKETCH_TEST_BACKING matrix: the
@@ -212,7 +153,7 @@ func TestLazyLoadEquivalence(t *testing.T) {
 				t.Fatalf("v2 load decoded %d labels up front, want 0", got)
 			}
 			if eager.DecodedSketches() != eager.N() {
-				t.Fatalf("v1 load is not eager: %d/%d decoded", eager.DecodedSketches(), eager.N())
+				t.Fatalf("built set is not fully decoded: %d/%d", eager.DecodedSketches(), eager.N())
 			}
 			// Size statistics come from the directory without decoding.
 			if lazy.MaxSketchWords() != eager.MaxSketchWords() || lazy.MeanSketchWords() != eager.MeanSketchWords() {
@@ -221,8 +162,8 @@ func TestLazyLoadEquivalence(t *testing.T) {
 			if got := lazy.DecodedSketches(); got != 0 {
 				t.Fatalf("size statistics decoded %d labels, want 0", got)
 			}
-			for u := 0; u < set.N(); u++ {
-				for v := u; v < set.N(); v += 3 {
+			for u := 0; u < eager.N(); u++ {
+				for v := u; v < eager.N(); v += 3 {
 					if le, ee := lazy.Query(u, v), eager.Query(u, v); le != ee {
 						t.Fatalf("(%d,%d): lazy %d != eager %d", u, v, le, ee)
 					}

@@ -37,8 +37,8 @@ func FuzzParseSketch(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{5, 1, 2, 3})
-	// Envelope headers (both versions) fed to the label parser: ParseSketch
-	// must reject container bytes as cleanly as corrupt labels.
+	// Envelope headers (versions 1 and 2) fed to the label parser:
+	// ParseSketch must reject container bytes as cleanly as corrupt labels.
 	f.Add([]byte{0x44, 0x53, 0x4b, 0x53, 0x45, 0x54, 0x1, 0x24, 0x2, 0x2})
 	f.Add([]byte{0x44, 0x53, 0x4b, 0x53, 0x45, 0x54, 0x2, 0x26, 0x2, 0x2})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -68,11 +68,11 @@ func FuzzParseSketch(f *testing.F) {
 	})
 }
 
-// FuzzReadSketchSet hammers the envelope reader with both versions'
-// headers, truncated directories, and arbitrary mutations. Whatever
-// arrives, it must never panic; what it accepts must materialize
-// cleanly or fail with an error, and a materialized set must round-trip
-// through WriteTo.
+// FuzzReadSketchSet hammers the envelope reader with full-set (version
+// 2) and shard (version 3) envelopes, truncated directories, and
+// arbitrary mutations. Whatever arrives, it must never panic; what it
+// accepts must materialize cleanly or fail with an error, and a
+// materialized set must round-trip through WriteTo.
 func FuzzReadSketchSet(f *testing.F) {
 	g, err := NewRandomWeightedGraph(FamilyGeometric, 16, 1, 9, 7)
 	if err != nil {
@@ -83,14 +83,16 @@ func FuzzReadSketchSet(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, version := range []int{SetVersion1, SetVersion2} {
-			var buf bytes.Buffer
-			if _, err := set.WriteToVersion(&buf, version); err != nil {
-				f.Fatal(err)
-			}
-			env := buf.Bytes()
+		var full, shard bytes.Buffer
+		if _, err := set.WriteTo(&full); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := set.WriteShard(&shard, ShardRange{Lo: 4, Hi: 12}); err != nil {
+			f.Fatal(err)
+		}
+		for _, env := range [][]byte{full.Bytes(), shard.Bytes()} {
 			f.Add(bytes.Clone(env))
-			f.Add(bytes.Clone(env[:len(env)/2])) // truncated mid-payload (v2: mid-directory)
+			f.Add(bytes.Clone(env[:len(env)/2])) // truncated mid-payload
 			f.Add(bytes.Clone(env[:len(env)-2])) // truncated checksum
 		}
 	}

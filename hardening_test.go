@@ -3,7 +3,7 @@ package distsketch
 // Regression tests for the serving-hardening fixes: bounds-checked query
 // accessors (no panics on untrusted node ids), MeanSketchWords on an
 // empty set (was NaN), ReadSketchSet on a zero-sketch envelope (was an
-// unusable set), and UpdateEdge on a weight increase (was silently wrong
+// unusable set), and UpdateEdges on a weight increase (was silently wrong
 // estimates).
 
 import (
@@ -112,7 +112,7 @@ func buildLineLandmark(t *testing.T, g *Graph) *SketchSet {
 
 // TestUpdateEdgeIncreaseRejected demonstrates the bug the verification
 // fixes: on a weight *increase* the warm-start repair converges to
-// stale labels, and the pre-fix UpdateEdge returned success while
+// stale labels, and the pre-fix repair returned success while
 // serving estimates from the old, now-too-short distances. The repaired
 // set must instead be rejected with ErrRebuildRequired and the live set
 // left byte-identical to its pre-call state.
@@ -141,8 +141,8 @@ func TestUpdateEdgeIncreaseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := set.UpdateEdge(gUp, n/2-1, n/2); !errors.Is(err, ErrRebuildRequired) {
-		t.Fatalf("UpdateEdge on a weight increase: err = %v, want ErrRebuildRequired", err)
+	if _, err := set.UpdateEdges(gUp, []EdgeChange{{U: n/2 - 1, V: n / 2}}); !errors.Is(err, ErrRebuildRequired) {
+		t.Fatalf("UpdateEdges on a weight increase: err = %v, want ErrRebuildRequired", err)
 	}
 	if got := set.Query(0, n-1); got != estBefore {
 		t.Errorf("failed repair mutated the set: Query(0,%d) %d -> %d", n-1, estBefore, got)
@@ -173,8 +173,8 @@ func TestUpdateEdgeIncreaseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	repaired := set.Clone()
-	if _, err := repaired.UpdateEdge(gd, n/2-1, n/2); err != nil {
-		t.Fatalf("UpdateEdge on a weight decrease: %v", err)
+	if _, err := repaired.UpdateEdges(gd, []EdgeChange{{U: n/2 - 1, V: n / 2}}); err != nil {
+		t.Fatalf("UpdateEdges on a weight decrease: %v", err)
 	}
 	if got, want := repaired.Query(0, n-1), estBefore-1; got != want {
 		t.Errorf("post-decrease Query(0,%d) = %d, want %d", n-1, got, want)
@@ -184,11 +184,11 @@ func TestUpdateEdgeIncreaseRejected(t *testing.T) {
 	}
 
 	// Out-of-range endpoints are errors, not panics.
-	if _, err := set.UpdateEdge(gd, -1, 3); !errors.Is(err, ErrNodeRange) {
-		t.Errorf("UpdateEdge(-1, 3): err = %v, want ErrNodeRange", err)
+	if _, err := set.UpdateEdges(gd, []EdgeChange{{U: -1, V: 3}}); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("UpdateEdges(-1, 3): err = %v, want ErrNodeRange", err)
 	}
-	if _, err := set.UpdateEdge(gd, 0, n); !errors.Is(err, ErrNodeRange) {
-		t.Errorf("UpdateEdge(0, %d): err = %v, want ErrNodeRange", n, err)
+	if _, err := set.UpdateEdges(gd, []EdgeChange{{U: 0, V: n}}); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("UpdateEdges(0, %d): err = %v, want ErrNodeRange", n, err)
 	}
 
 	// A graph containing any zero-weight edge is refused up front — the
@@ -207,8 +207,8 @@ func TestUpdateEdgeIncreaseRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = set.UpdateEdge(gz, n/2-1, n/2)
+	_, err = set.UpdateEdges(gz, []EdgeChange{{U: n/2 - 1, V: n / 2}})
 	if err == nil || errors.Is(err, ErrRebuildRequired) || !strings.Contains(err.Error(), "zero-weight edge (0,1)") {
-		t.Errorf("UpdateEdge on a zero-weight graph: err = %v, want a non-ErrRebuildRequired error naming edge (0,1)", err)
+		t.Errorf("UpdateEdges on a zero-weight graph: err = %v, want a non-ErrRebuildRequired error naming edge (0,1)", err)
 	}
 }

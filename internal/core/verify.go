@@ -33,7 +33,7 @@ import (
 // zero-weight edge the support condition would be necessary but not
 // sufficient (a zero-weight cycle could support stale labels), so the
 // caller must refuse such graphs before asking for verification —
-// SketchSet.UpdateEdge does. The generators in this repository produce
+// SketchSet.UpdateEdges does. The generators in this repository produce
 // weights ≥ 1.
 func VerifyLandmarkExact(g *graph.Graph, labels []*sketch.LandmarkLabel, net []int) error {
 	n := g.N()

@@ -1,16 +1,16 @@
-// Package std reimplements the three standard vet-family passes the
-// sketchlint suite wants alongside its custom analyzers: copylocks,
-// nilness, and unusedwrite. The x/tools originals are unavailable in an
-// offline build (and the bundled `go vet` ships only copylocks), so
-// these are from-scratch ports of the useful core of each check against
-// the same minimal analysis framework the custom analyzers use.
+// Package std reimplements two vet-family passes the sketchlint suite
+// wants alongside its custom analyzers: nilness and unusedwrite. The
+// x/tools originals are unavailable in an offline build and the bundled
+// `go vet` ships neither, so these are from-scratch ports of the useful
+// core of each check against the same minimal analysis framework the
+// custom analyzers use. Copylocks, the third pass the suite wants, is
+// not ported: `go vet` runs it, and CI runs `go vet ./...`.
 //
 // Each is deliberately a subset of its namesake — syntactic, per
 // function, no SSA — tuned to catch the mistakes that matter in this
-// repo: copying a struct with a sync.Mutex/atomic.Pointer inside
-// (Server, the pools), dereferencing a pointer on the branch that just
-// proved it nil, and writing to a by-value range variable or value
-// receiver where the write vanishes at the end of the iteration.
+// repo: dereferencing a pointer on the branch that just proved it nil,
+// and writing to a by-value range variable or value receiver where the
+// write vanishes at the end of the iteration.
 package std
 
 import (
@@ -19,153 +19,6 @@ import (
 
 	"distsketch/internal/lint/analysis"
 )
-
-// ---------------------------------------------------------------------------
-// copylocks
-
-// Copylocks flags values of lock-containing types passed, assigned, or
-// ranged by value.
-var Copylocks = &analysis.Analyzer{
-	Name: "copylocks",
-	Doc:  "flag by-value copies of types containing sync primitives",
-	Run:  runCopylocks,
-}
-
-// lockTypes are the sync and sync/atomic types whose copy is always a
-// bug (they embed noCopy or hold internal state keyed to an address).
-var lockTypes = map[string]map[string]bool{
-	"sync": {
-		"Mutex": true, "RWMutex": true, "WaitGroup": true, "Cond": true,
-		"Once": true, "Pool": true, "Map": true,
-	},
-	"sync/atomic": {
-		"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-		"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-	},
-}
-
-// lockPath returns a human-readable path to the first lock found inside
-// t ("" if none): e.g. "sync.Mutex" or "Server contains sync.Mutex".
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Origin().Obj()
-		if obj != nil && obj.Pkg() != nil {
-			if names := lockTypes[obj.Pkg().Path()]; names != nil && names[obj.Name()] {
-				return obj.Pkg().Name() + "." + obj.Name()
-			}
-		}
-		if inner := lockPath(named.Underlying(), seen); inner != "" {
-			return obj.Name() + " contains " + inner
-		}
-		return ""
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if inner := lockPath(u.Field(i).Type(), seen); inner != "" {
-				return inner
-			}
-		}
-	case *types.Array:
-		return lockPath(u.Elem(), seen)
-	}
-	return ""
-}
-
-// copiesValue reports whether e is an expression whose evaluation copies
-// an existing value (as opposed to constructing a fresh one in place).
-func copiesValue(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	}
-	return false
-}
-
-func runCopylocks(pass *analysis.Pass) error {
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := pass.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if path := lockPath(t, nil); path != "" {
-				pass.Reportf(f.Type.Pos(), "%s passes lock by value: %s", what, path)
-			}
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldList(v.Recv, "receiver")
-				checkFieldList(v.Type.Params, "parameter")
-			case *ast.FuncLit:
-				checkFieldList(v.Type.Params, "parameter")
-			case *ast.AssignStmt:
-				for i, rhs := range v.Rhs {
-					if !copiesValue(rhs) {
-						continue
-					}
-					// Assigning to _ discards the copy; nothing can observe it.
-					if len(v.Lhs) == len(v.Rhs) {
-						if id, ok := ast.Unparen(v.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					t := pass.TypeOf(rhs)
-					if t == nil {
-						continue
-					}
-					if path := lockPath(t, nil); path != "" {
-						pass.Reportf(rhs.Pos(), "assignment copies lock value: %s", path)
-					}
-				}
-			case *ast.RangeStmt:
-				if rv := rangeValueVar(pass, v.Value); rv != nil {
-					if path := lockPath(rv.Type(), nil); path != "" {
-						pass.Reportf(v.Value.Pos(), "range variable copies lock value: %s", path)
-					}
-				}
-			case *ast.CallExpr:
-				if _, isConv := pass.TypesInfo.Types[v.Fun]; isConv && pass.TypesInfo.Types[v.Fun].IsType() {
-					return true
-				}
-				for _, arg := range v.Args {
-					if !copiesValue(arg) {
-						continue
-					}
-					// A type expression argument (new(atomic.Int64),
-					// make(chan sync.Mutex)) names a type, it does not copy
-					// a value of it.
-					tv, found := pass.TypesInfo.Types[arg]
-					if !found || tv.IsType() {
-						continue
-					}
-					t := tv.Type
-					if path := lockPath(t, nil); path != "" {
-						pass.Reportf(arg.Pos(), "call passes lock by value: %s", path)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
 
 // ---------------------------------------------------------------------------
 // nilness

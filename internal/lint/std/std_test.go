@@ -7,10 +7,6 @@ import (
 	"distsketch/internal/lint/std"
 )
 
-func TestCopylocks(t *testing.T) {
-	analysis.RunTest(t, "testdata/src/copylocks", std.Copylocks)
-}
-
 func TestNilness(t *testing.T) {
 	analysis.RunTest(t, "testdata/src/nilness", std.Nilness)
 }

@@ -10,7 +10,7 @@
 // atomic.Pointer.Load() are tainted, taint propagates through field
 // selection, indexing and dereference, and Clone() (or any other call)
 // launders it. Flagged: assignments whose left-hand side is reachable
-// from a tainted value, and calls to known mutating methods (UpdateEdge,
+// from a tainted value, and calls to known mutating methods (UpdateEdges,
 // Materialize, Set, SetBunch, Canonicalize) with a tainted receiver.
 package swapdiscipline
 
@@ -24,7 +24,7 @@ import (
 // mutators are methods that mutate their receiver; calling one on a
 // published snapshot is as racy as a direct field write.
 var mutators = map[string]bool{
-	"UpdateEdge":   true,
+	"UpdateEdges":  true,
 	"Materialize":  true,
 	"Set":          true,
 	"SetBunch":     true,

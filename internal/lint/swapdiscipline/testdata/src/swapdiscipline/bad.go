@@ -13,7 +13,7 @@ func (s *set) Clone() *set {
 	return &c
 }
 
-func (s *set) UpdateEdge(u, v int) {
+func (s *set) UpdateEdges(u, v int) {
 	s.n += u + v
 }
 
@@ -59,5 +59,5 @@ func badIncrement(s *server) {
 // badMutator calls a mutating method on the snapshot.
 func badMutator(s *server) {
 	st := s.cur.Load()
-	st.set.UpdateEdge(1, 2) // want "mutating method UpdateEdge"
+	st.set.UpdateEdges(1, 2) // want "mutating method UpdateEdges"
 }

@@ -6,7 +6,7 @@ package fixture
 func goodSwap(s *server) {
 	st := s.cur.Load()
 	clone := st.set.Clone()
-	clone.UpdateEdge(1, 2)
+	clone.UpdateEdges(1, 2)
 	clone.labels = append(clone.labels, 5)
 	s.cur.Store(&state{set: clone, gen: st.gen + 1})
 }

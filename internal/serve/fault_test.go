@@ -451,7 +451,7 @@ func TestFaultShutdownDuringUpdateStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := replica.UpdateEdge(next, edge.U, edge.V); err != nil {
+		if _, err := replica.UpdateEdges(next, []distsketch.EdgeChange{{U: edge.U, V: edge.V}}); err != nil {
 			t.Fatalf("replica update %d: %v", k, err)
 		}
 		curG = next

@@ -628,7 +628,7 @@ func decodeUpdateBody(body []byte) ([]UpdateRequest, error) {
 	return []UpdateRequest{req}, nil
 }
 
-func (s *Server) handleUpdateEdge(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	// ~96 bytes covers any one encoded change; the batch cap shared with
 	// POST /query bounds the array form.
 	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*96+4096)

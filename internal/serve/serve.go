@@ -246,7 +246,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /query", guard(s.handleBatch))
 	mux.Handle("GET /sketch/{u}", guard(s.handleSketch))
 	mux.Handle("POST /sketch", guard(s.handleSketchBatch))
-	mux.Handle("POST /update-edge", guard(s.handleUpdateEdge))
+	mux.Handle("POST /update-edge", guard(s.handleUpdateEdges))
 	mux.Handle("POST /save", guard(s.handleSave))
 	// Observability and probes bypass the gate: they must answer exactly
 	// when the server is too busy (or too broken) to do real work.

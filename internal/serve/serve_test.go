@@ -416,7 +416,7 @@ func TestUpdateEdgeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats, err := expect.UpdateEdge(g2, e.U, e.V)
+	wantStats, err := expect.UpdateEdges(g2, []distsketch.EdgeChange{{U: e.U, V: e.V}})
 	if err != nil {
 		t.Fatal(err)
 	}

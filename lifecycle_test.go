@@ -263,7 +263,7 @@ func TestUpdateEdgePublic(t *testing.T) {
 	// A failed repair (edge not in the graph) must leave the set
 	// exactly as it was.
 	snapshot := set.Query(0, 79)
-	if _, err := set.UpdateEdge(ng, 0, 0); err == nil {
+	if _, err := set.UpdateEdges(ng, []EdgeChange{{U: 0, V: 0}}); err == nil {
 		t.Error("repair of a non-edge accepted")
 	}
 	if got := set.Query(0, 79); got != snapshot {
@@ -271,7 +271,7 @@ func TestUpdateEdgePublic(t *testing.T) {
 	}
 
 	beforeMsgs := set.Messages()
-	repair, err := set.UpdateEdge(ng, e.U, e.V)
+	repair, err := set.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestUpdateEdgePublic(t *testing.T) {
 	if set.Messages() != beforeMsgs+repair.Messages {
 		t.Errorf("repair cost not accumulated into Cost().Total")
 	}
-	if _, err := loaded.UpdateEdge(ng, e.U, e.V); err != nil {
+	if _, err := loaded.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}}); err != nil {
 		t.Fatalf("reloaded set repair: %v", err)
 	}
 
@@ -308,15 +308,15 @@ func TestUpdateEdgePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tzSet.UpdateEdge(ng, e.U, e.V); err != nil {
-		t.Errorf("UpdateEdge on a TZ set: %v", err)
+	if _, err := tzSet.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}}); err != nil {
+		t.Errorf("UpdateEdges on a TZ set: %v", err)
 	}
 	cdgSet, err := Build(g, Options{Kind: KindCDG, K: 2, Eps: 0.25, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cdgSet.UpdateEdge(ng, e.U, e.V); !errors.Is(err, ErrRebuildRequired) {
-		t.Errorf("UpdateEdge on a CDG set without PrevWeight: got %v, want ErrRebuildRequired", err)
+	if _, err := cdgSet.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}}); !errors.Is(err, ErrRebuildRequired) {
+		t.Errorf("UpdateEdges on a CDG set without PrevWeight: got %v, want ErrRebuildRequired", err)
 	}
 }
 

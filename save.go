@@ -76,11 +76,12 @@ func (e *ErrCorruptLabel) Error() string {
 func (e *ErrCorruptLabel) Unwrap() error { return e.Err }
 
 // SaveSketchSet writes set to path crash-safely in the requested
-// envelope version (SetVersion1 or SetVersion2): the envelope is
-// serialized into a same-directory temp file, fsynced, renamed over
-// path atomically, and the directory is fsynced. A crash at any point —
-// including mid-serialization — leaves path holding its previous
-// complete contents; the new envelope appears only once fully durable.
+// envelope version (SetVersion2 for a full set; see WriteToVersion): the
+// envelope is serialized into a same-directory temp file, fsynced,
+// renamed over path atomically, and the directory is fsynced. A crash at
+// any point — including mid-serialization — leaves path holding its
+// previous complete contents; the new envelope appears only once fully
+// durable.
 func SaveSketchSet(path string, set *SketchSet, version int) error {
 	if set == nil {
 		return fmt.Errorf("distsketch: cannot save a nil sketch set")

@@ -9,7 +9,6 @@ package distsketch
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -48,27 +47,24 @@ func envelopeBytes(t *testing.T, set *SketchSet, version int) []byte {
 // directory, mid-blob, mid-checksum) — and demands a typed
 // *ErrCorruptEnvelope whose offset points inside the bytes that remain.
 func TestTornEnvelopeEveryTruncation(t *testing.T) {
-	set := faultSet(t)
-	for _, version := range []int{SetVersion1, SetVersion2} {
-		env := envelopeBytes(t, set, version)
-		for cut := 0; cut < len(env); cut++ {
-			_, err := ReadSketchSet(bytes.NewReader(env[:cut]))
-			if err == nil {
-				t.Fatalf("v%d truncated at %d/%d bytes was accepted", version, cut, len(env))
-			}
-			var ce *ErrCorruptEnvelope
-			if !errors.As(err, &ce) {
-				t.Fatalf("v%d truncated at %d: error not typed *ErrCorruptEnvelope: %v", version, cut, err)
-			}
-			if ce.Offset < 0 || ce.Offset > int64(cut) {
-				t.Fatalf("v%d truncated at %d: reported offset %d outside the %d bytes present", version, cut, ce.Offset, cut)
-			}
+	env := envelopeBytes(t, faultSet(t), SetVersion2)
+	for cut := 0; cut < len(env); cut++ {
+		_, err := ReadSketchSet(bytes.NewReader(env[:cut]))
+		if err == nil {
+			t.Fatalf("truncated at %d/%d bytes was accepted", cut, len(env))
 		}
-		// The untruncated envelope still loads — the loop above did not
-		// depend on a broken baseline.
-		if _, err := ReadSketchSet(bytes.NewReader(env)); err != nil {
-			t.Fatalf("v%d intact envelope failed to load: %v", version, err)
+		var ce *ErrCorruptEnvelope
+		if !errors.As(err, &ce) {
+			t.Fatalf("truncated at %d: error not typed *ErrCorruptEnvelope: %v", cut, err)
 		}
+		if ce.Offset < 0 || ce.Offset > int64(cut) {
+			t.Fatalf("truncated at %d: reported offset %d outside the %d bytes present", cut, ce.Offset, cut)
+		}
+	}
+	// The untruncated envelope still loads — the loop above did not
+	// depend on a broken baseline.
+	if _, err := ReadSketchSet(bytes.NewReader(env)); err != nil {
+		t.Fatalf("intact envelope failed to load: %v", err)
 	}
 }
 
@@ -78,21 +74,18 @@ func TestTornEnvelopeEveryTruncation(t *testing.T) {
 // all single-bit errors, so an accepted flip would mean the checksum is
 // not actually covering the bytes.
 func TestTornEnvelopeBitFlips(t *testing.T) {
-	set := faultSet(t)
-	for _, version := range []int{SetVersion1, SetVersion2} {
-		env := envelopeBytes(t, set, version)
-		for pos := 0; pos < len(env); pos++ {
-			for bit := 0; bit < 8; bit++ {
-				mod := bytes.Clone(env)
-				mod[pos] ^= 1 << bit
-				_, err := ReadSketchSet(bytes.NewReader(mod))
-				if err == nil {
-					t.Fatalf("v%d bit %d of byte %d flipped: corrupt envelope accepted", version, bit, pos)
-				}
-				var ce *ErrCorruptEnvelope
-				if !errors.As(err, &ce) {
-					t.Fatalf("v%d bit %d of byte %d flipped: error not typed: %v", version, bit, pos, err)
-				}
+	env := envelopeBytes(t, faultSet(t), SetVersion2)
+	for pos := 0; pos < len(env); pos++ {
+		for bit := 0; bit < 8; bit++ {
+			mod := bytes.Clone(env)
+			mod[pos] ^= 1 << bit
+			_, err := ReadSketchSet(bytes.NewReader(mod))
+			if err == nil {
+				t.Fatalf("bit %d of byte %d flipped: corrupt envelope accepted", bit, pos)
+			}
+			var ce *ErrCorruptEnvelope
+			if !errors.As(err, &ce) {
+				t.Fatalf("bit %d of byte %d flipped: error not typed: %v", bit, pos, err)
 			}
 		}
 	}
@@ -250,34 +243,35 @@ func TestTornLazyLabelTypedError(t *testing.T) {
 }
 
 // TestFaultSaveLoadRoundTrip covers the happy path of the atomic save
-// helper in both envelope versions plus its input validation.
+// helper plus its input validation.
 func TestFaultSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	set := faultSet(t)
-	for _, version := range []int{SetVersion1, SetVersion2} {
-		path := filepath.Join(dir, fmt.Sprintf("v%d.dsk", version))
-		if err := SaveSketchSet(path, set, version); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadSketchSet(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.EnvelopeVersion() != version || loaded.N() != set.N() {
-			t.Fatalf("v%d reload: version=%d n=%d", version, loaded.EnvelopeVersion(), loaded.N())
-		}
-		for u := 0; u < set.N(); u++ {
-			for v := u; v < set.N(); v += 5 {
-				if got, want := loaded.Query(u, v), set.Query(u, v); got != want {
-					t.Fatalf("v%d (%d,%d): %d != %d", version, u, v, got, want)
-				}
+	path := filepath.Join(dir, "v2.dsk")
+	if err := SaveSketchSet(path, set, SetVersion2); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSketchSet(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.EnvelopeVersion() != SetVersion2 || loaded.N() != set.N() {
+		t.Fatalf("reload: version=%d n=%d", loaded.EnvelopeVersion(), loaded.N())
+	}
+	for u := 0; u < set.N(); u++ {
+		for v := u; v < set.N(); v += 5 {
+			if got, want := loaded.Query(u, v), set.Query(u, v); got != want {
+				t.Fatalf("(%d,%d): %d != %d", u, v, got, want)
 			}
 		}
 	}
-	// Invalid version: error out before touching the filesystem.
+	// Invalid versions, the retired version 1 among them: error out
+	// before touching the filesystem.
 	badPath := filepath.Join(dir, "bad.dsk")
-	if err := SaveSketchSet(badPath, set, 9); err == nil {
-		t.Error("unknown envelope version accepted")
+	for _, version := range []int{1, 9} {
+		if err := SaveSketchSet(badPath, set, version); err == nil {
+			t.Errorf("envelope version %d accepted", version)
+		}
 	}
 	if _, err := os.Stat(badPath); !errors.Is(err, os.ErrNotExist) {
 		t.Error("failed save left a file behind")

@@ -25,7 +25,7 @@ var ErrNodeRange = errors.New("node id out of range")
 // ErrRebuildRequired reports that an incremental repair cannot restore
 // exact labels — typically because the changed edge's weight increased,
 // which invalidates the warm-start upper bounds — and the set must be
-// rebuilt from scratch with Build. UpdateEdge wraps it; the set is left
+// rebuilt from scratch with Build. UpdateEdges wraps it; the set is left
 // unchanged when it is returned.
 var ErrRebuildRequired = errors.New("incremental repair cannot restore exact labels; rebuild the sketch set")
 
@@ -53,7 +53,7 @@ type PhaseCost struct {
 // CostBreakdown separates a construction's total cost into the paper's
 // accounting categories.
 type CostBreakdown struct {
-	// Total is the whole construction (plus any later UpdateEdge
+	// Total is the whole construction (plus any later UpdateEdges
 	// repairs, which accumulate into it).
 	Total Stats
 	// Phases breaks the construction into its phases in execution
@@ -77,21 +77,15 @@ func statsOf(s congest.Stats) Stats {
 	return Stats{Rounds: s.Rounds, Messages: s.Messages, Words: s.Words}
 }
 
-// SketchSet is a built set of distance sketches: one decoded Sketch per
-// node plus the CONGEST cost of constructing them. It is a plain value —
-// it can be queried, persisted with WriteTo, reloaded with ReadSketchSet,
-// and (for KindLandmark) repaired in place with UpdateEdge.
+// SketchSet is a built set of distance sketches: one Sketch per node
+// plus the CONGEST cost of constructing them. It is a plain value — it
+// can be queried, persisted with WriteTo, reloaded with ReadSketchSet,
+// and repaired in place with UpdateEdges.
 type SketchSet struct {
-	kind     Kind
-	sketches []*Sketch
-	// lazy holds the deferred-decode state of a set loaded from a
-	// version-2 envelope; nil for built sets, version-1 loads, and after
-	// Materialize. When non-nil, sketches is nil and every label access
-	// routes through lazy.
-	lazy *lazyLabels
+	kind   Kind
+	labels labelStore
 	// envVersion records which envelope version the set was loaded from:
-	// 0 for a set built in process, otherwise SetVersion1 through
-	// SetVersion3.
+	// 0 for a set built in process, otherwise SetVersion2 or SetVersion3.
 	envVersion int
 	cost       CostBreakdown
 	// net is the landmark density net, retained (and persisted) so a
@@ -104,10 +98,10 @@ type SketchSet struct {
 	// is 0 for an unsharded set.
 	shardLo    int
 	shardTotal int
-	// backing owns the mapped byte region the lazy blobs point into for
-	// a set opened with OpenSketchSet; nil for heap-backed sets. closed
-	// is set by Close and makes label access fail with ErrSetClosed
-	// instead of touching a possibly unmapped region.
+	// backing owns the mapped byte region the stored blobs point into
+	// for a set opened with OpenSketchSet; nil for heap-backed sets.
+	// closed is set by Close and makes label access fail with
+	// ErrSetClosed instead of touching a possibly unmapped region.
 	backing *backing
 	closed  bool
 	// envCRC is the crc32-IEEE checksum of the envelope payload the set
@@ -117,30 +111,53 @@ type SketchSet struct {
 	envCRC uint32
 }
 
-// lazyLabels is the deferred-decode state of a version-2 envelope: the
-// per-node wire blobs (sub-slices of the retained payload — zero copies
-// at load time), the directory's per-node word counts, and one slot per
-// node filled on first touch. Slots are atomic pointers, so concurrent
-// queries may race to decode the same label; the decode is deterministic
-// and the loser adopts the winner's value, making first-touch decoding
-// safe under the serving layer's lock-free reads.
-type lazyLabels struct {
-	blobs [][]byte
-	words []int
-	// offsets holds each blob's byte offset within the envelope it was
-	// loaded from, so a first-touch decode failure can point the operator
+// labelStore holds a set's labels: one slot per node. A built or
+// repaired set fills every slot up front. A set loaded from an envelope
+// keeps each node's wire blob (a sub-slice of the retained payload —
+// zero copies at load time) and the directory's word count, and fills
+// a slot on first touch. Slots are atomic pointers, so concurrent
+// queries may race to decode the same label; the decode is
+// deterministic and the loser adopts the winner's value, making
+// first-touch decoding safe under the serving layer's lock-free reads.
+//
+// Clones share a store, so nothing but a first-touch decode ever writes
+// into one: UpdateEdges and Materialize install a fresh store instead.
+// The zero value is an empty store.
+type labelStore struct {
+	slots []atomic.Pointer[Sketch]
+	// decoded counts the filled slots of every handle sharing the store.
+	decoded *atomic.Int64
+	// blobs, words and offsets are nil unless the store was loaded from
+	// an envelope. offsets holds each blob's byte offset within that
+	// envelope, so a first-touch decode failure can point the operator
 	// at the corrupt bytes (ErrCorruptLabel.Offset).
+	blobs   [][]byte
+	words   []int
 	offsets []int64
-	slots   []atomic.Pointer[Sketch]
-	decoded atomic.Int64
 }
 
-// get returns node u's decoded sketch, decoding it on first touch.
-func (lz *lazyLabels) get(u int) (*Sketch, error) {
-	if sk := lz.slots[u].Load(); sk != nil {
+// filledStore returns a store of n slots, slot i holding at(i), with no
+// stored blobs: the store of a built, materialized or repaired set.
+func filledStore(n int, at func(i int) *Sketch) labelStore {
+	st := labelStore{slots: make([]atomic.Pointer[Sketch], n), decoded: new(atomic.Int64)}
+	for i := range st.slots {
+		st.slots[i].Store(at(i))
+	}
+	st.decoded.Store(int64(n))
+	return st
+}
+
+// builtStore wraps the labels a construction produced, one per node.
+func builtStore[L sketch.Label](kind Kind, labels []L) labelStore {
+	return filledStore(len(labels), func(i int) *Sketch { return &Sketch{kind: kind, label: labels[i]} })
+}
+
+// get returns slot i's sketch, decoding its stored blob on first touch.
+func (st *labelStore) get(i int) (*Sketch, error) {
+	if sk := st.slots[i].Load(); sk != nil {
 		return sk, nil
 	}
-	sk, err := ParseSketch(lz.blobs[u])
+	sk, err := ParseSketch(st.blobs[i])
 	if err != nil {
 		// Unreachable for envelopes written by WriteTo (the payload is
 		// checksummed and each blob was a marshaled label); reachable for
@@ -148,21 +165,30 @@ func (lz *lazyLabels) get(u int) (*Sketch, error) {
 		// owner checks but whose blob body is structurally invalid. The
 		// typed error carries the node and the blob's envelope offset so a
 		// server can answer 500-with-context and count the failure.
-		return nil, &ErrCorruptLabel{Node: u, Offset: lz.offsets[u], Err: err}
+		return nil, &ErrCorruptLabel{Node: i, Offset: st.offsets[i], Err: err}
 	}
 	// The directory's word count was trusted for size statistics before
 	// this label was ever decoded; reconcile it now so a crafted
 	// envelope cannot keep lying once the label is actually served.
-	if w := sk.Words(); w != lz.words[u] {
-		return nil, &ErrCorruptLabel{Node: u, Offset: lz.offsets[u],
-			Err: fmt.Errorf("directory claims %d words, label has %d", lz.words[u], w)}
+	if w := sk.Words(); w != st.words[i] {
+		return nil, &ErrCorruptLabel{Node: i, Offset: st.offsets[i],
+			Err: fmt.Errorf("directory claims %d words, label has %d", st.words[i], w)}
 	}
-	if lz.slots[u].CompareAndSwap(nil, sk) {
-		lz.decoded.Add(1)
+	if st.slots[i].CompareAndSwap(nil, sk) {
+		st.decoded.Add(1)
 	} else {
-		sk = lz.slots[u].Load()
+		sk = st.slots[i].Load()
 	}
 	return sk, nil
+}
+
+// slice returns a view of slots [lo, hi) sharing the store's arrays.
+func (st *labelStore) slice(lo, hi int) labelStore {
+	v := labelStore{slots: st.slots[lo:hi], decoded: st.decoded}
+	if st.blobs != nil {
+		v.blobs, v.words, v.offsets = st.blobs[lo:hi], st.words[lo:hi], st.offsets[lo:hi]
+	}
+	return v
 }
 
 // Kind returns the construction used.
@@ -170,12 +196,7 @@ func (s *SketchSet) Kind() Kind { return s.kind }
 
 // N returns the number of nodes this set holds sketches for (the shard
 // size for a sharded set; see NodeRange and TotalNodes).
-func (s *SketchSet) N() int {
-	if s.lazy != nil {
-		return len(s.lazy.blobs)
-	}
-	return len(s.sketches)
-}
+func (s *SketchSet) N() int { return len(s.labels.slots) }
 
 // NodeRange returns the half-open global node-id range [lo, hi) this
 // set answers for: [0, N()) for an unsharded set, the shard's slice of
@@ -205,11 +226,7 @@ func (s *SketchSet) sketchAt(u int) (*Sketch, error) {
 	if s.closed {
 		return nil, ErrSetClosed
 	}
-	i := u - s.shardLo
-	if s.lazy != nil {
-		return s.lazy.get(i)
-	}
-	return s.sketches[i], nil
+	return s.labels.get(u - s.shardLo)
 }
 
 // Sketch returns node u's decoded sketch (decoding it on first touch
@@ -300,10 +317,10 @@ func (s *SketchSet) sketchBytesAt(u int) ([]byte, error) {
 		return nil, ErrSetClosed
 	}
 	i := u - s.shardLo
-	if s.lazy != nil {
-		return bytes.Clone(s.lazy.blobs[i]), nil
+	if s.labels.blobs != nil {
+		return bytes.Clone(s.labels.blobs[i]), nil
 	}
-	return sketch.Marshal(s.sketches[i].label), nil
+	return sketch.Marshal(s.labels.slots[i].Load().label), nil
 }
 
 // SketchBytes returns node u's serialized sketch (what u would hand to a
@@ -332,10 +349,10 @@ func (s *SketchSet) SketchBytesChecked(u int) ([]byte, error) {
 
 // wordsAt returns the sketch size in words of the shard-local slot i.
 func (s *SketchSet) wordsAt(i int) int {
-	if s.lazy != nil {
-		return s.lazy.words[i]
+	if s.labels.words != nil {
+		return s.labels.words[i]
 	}
-	return s.sketches[i].Words()
+	return s.labels.slots[i].Load().Words()
 }
 
 // SketchWords returns node u's sketch size in O(log n)-bit words. For a
@@ -372,8 +389,8 @@ func (s *SketchSet) MeanSketchWords() float64 {
 }
 
 // EnvelopeVersion reports which envelope version the set was loaded
-// from: SetVersion1 or SetVersion2 for sets read by ReadSketchSet, 0 for
-// a set built in process.
+// from: SetVersion2 for a full set, SetVersion3 for a node-range shard,
+// 0 for a set built in process.
 func (s *SketchSet) EnvelopeVersion() int { return s.envVersion }
 
 // Checksum returns the crc32-IEEE checksum of the envelope payload the
@@ -384,38 +401,34 @@ func (s *SketchSet) EnvelopeVersion() int { return s.envVersion }
 func (s *SketchSet) Checksum() uint32 { return s.envCRC }
 
 // DecodedSketches reports how many of the set's sketches are currently
-// decoded: N() for built, eagerly loaded, or materialized sets; the
-// number of labels touched so far for a lazily loaded set.
+// decoded: N() for built or materialized sets; the number of labels
+// touched so far for a set loaded from an envelope.
 func (s *SketchSet) DecodedSketches() int {
-	if s.lazy != nil {
-		return int(s.lazy.decoded.Load())
+	if s.labels.decoded == nil {
+		return 0
 	}
-	return len(s.sketches)
+	return int(s.labels.decoded.Load())
 }
 
-// Materialize decodes every not-yet-decoded sketch of a lazily loaded
-// set and drops the lazy state; afterwards the set behaves exactly like
-// an eagerly loaded one. It is a no-op for sets that are already fully
-// decoded. Materialize is not safe to call concurrently with queries on
-// the same value; clone first (the clone shares the decode cache).
+// Materialize decodes every not-yet-decoded sketch of a set loaded from
+// an envelope and drops the stored blobs; afterwards the set behaves
+// exactly like a built one. It is a no-op for sets that hold no blobs.
+// Materialize is not safe to call concurrently with queries on the same
+// value; clone first (the clone shares the decode cache).
 func (s *SketchSet) Materialize() error {
-	if s.lazy == nil {
+	if s.labels.blobs == nil {
 		return nil
 	}
 	if s.closed {
 		return ErrSetClosed
 	}
-	n := len(s.lazy.blobs)
-	sketches := make([]*Sketch, n)
-	for u := 0; u < n; u++ {
-		sk, err := s.lazy.get(u)
-		if err != nil {
+	old := s.labels
+	for i := range old.slots {
+		if _, err := old.get(i); err != nil {
 			return err
 		}
-		sketches[u] = sk
 	}
-	s.sketches = sketches
-	s.lazy = nil
+	s.labels = filledStore(len(old.slots), func(i int) *Sketch { return old.slots[i].Load() })
 	// Every label now lives on the heap; this handle has no further use
 	// for a mapped backing, so its reference is dropped here — this is
 	// what lets the serving layer's clone-repair-swap run against an
@@ -423,17 +436,17 @@ func (s *SketchSet) Materialize() error {
 	return s.dropBacking()
 }
 
-// Clone returns an independent copy of the set that shares the decoded
-// (immutable) sketch values — and, for lazily loaded sets, the decode
-// cache. A later UpdateEdge on either copy replaces sketches rather
-// than mutating them, so the other copy is unaffected — this is the
-// O(n) primitive behind copy-on-write serving: repair a clone off to
+// Clone returns an independent copy of the set that shares its label
+// store: the decoded (immutable) sketch values and, for a set loaded
+// from an envelope, the first-touch decode cache. A later UpdateEdges
+// or Materialize on either copy installs a fresh store rather than
+// writing into the shared one, so the other copy is unaffected — this
+// is the primitive behind copy-on-write serving: repair a clone off to
 // the side, then atomically swap it in while readers keep querying the
 // original.
 func (s *SketchSet) Clone() *SketchSet {
 	c := new(SketchSet)
 	*c = *s
-	c.sketches = append([]*Sketch(nil), s.sketches...)
 	c.net = append([]int(nil), s.net...)
 	c.cost.Phases = append([]PhaseCost(nil), s.cost.Phases...)
 	if c.backing != nil && !c.closed {
@@ -541,18 +554,19 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 			return Stats{}, fmt.Errorf("distsketch: graph has zero-weight edge (%d,%d); incremental repair requires strictly positive weights", e.U, e.V)
 		}
 	}
-	// The repair reads every label, so a lazily loaded set is fully
-	// decoded first (repair is a control-plane operation; laziness exists
-	// for the query path).
+	// The repair reads every label, so a set loaded from an envelope is
+	// fully decoded first (repair is a control-plane operation; laziness
+	// exists for the query path).
 	if err := s.Materialize(); err != nil {
 		return Stats{}, err
 	}
 	// core.Repair treats prev as read-only (repaired labels go to fresh
 	// storage), so the live labels can be handed over directly — a
 	// mid-run failure cannot leave the set half-repaired.
+	old := s.labels
 	prev := make([]sketch.Label, n)
-	for u, sk := range s.sketches {
-		prev[u] = sk.label
+	for u := range prev {
+		prev[u] = old.slots[u].Load().label
 	}
 	coreEdges := make([]core.EdgeChange, len(edges))
 	for i, e := range edges {
@@ -565,27 +579,17 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 		}
 		return Stats{}, fmt.Errorf("distsketch: %w", err)
 	}
-	for u := range s.sketches {
+	// The old store may be shared with clones and their in-flight
+	// readers, so the repaired labels go into a fresh one.
+	s.labels = filledStore(n, func(u int) *Sketch {
 		if res.Labels[u] == prev[u] {
-			continue // unchanged label: keep the existing Sketch value
+			return old.slots[u].Load() // unchanged label: keep the existing Sketch value
 		}
-		s.sketches[u] = &Sketch{kind: s.kind, label: res.Labels[u]}
-	}
+		return &Sketch{kind: s.kind, label: res.Labels[u]}
+	})
 	repair := statsOf(res.Cost)
 	s.cost.Total = s.cost.Total.Add(repair)
 	return repair, nil
-}
-
-// UpdateEdge repairs the set after the weight of the single edge {a,b}
-// changed. It is exactly UpdateEdges with a one-element batch — there is
-// one repair code path — so it supports every kind on the same terms.
-// Note the single-edge form carries no PrevWeight: landmark and TZ sets
-// repair fine (their results are verified directly; TZ takes the slower
-// endpoint search), but CDG and graceful sets always answer
-// ErrRebuildRequired here; use UpdateEdges with EdgeChange.PrevWeight set
-// instead.
-func (s *SketchSet) UpdateEdge(g *Graph, a, b int) (Stats, error) {
-	return s.UpdateEdges(g, []EdgeChange{{U: a, V: b}})
 }
 
 // Sketch-set envelope: a versioned container so a built set can be saved
@@ -596,37 +600,37 @@ func (s *SketchSet) UpdateEdge(g *Graph, a, b int) (Stats, error) {
 //
 // The payload holds the kind tag, node count, full cost breakdown, the
 // landmark density net (repair support), and each node's sketch in the
-// ParseSketch wire format. All integers are uvarints. The two payload
-// versions differ only in how the sketches are laid out:
+// ParseSketch wire format, all integers as uvarints. The sketches are a
+// per-node directory — one (blob length, label words) uvarint pair per
+// node — followed by the concatenated blobs. ReadSketchSet performs an
+// O(n) directory scan, points each node's blob into the retained payload
+// buffer with zero per-entry copies, and decodes a label only when a
+// query first touches it. Size statistics (SketchWords and friends)
+// answer from the directory without decoding anything.
 //
-//   - Version 1 stores each sketch as a length-prefixed blob; ReadSketchSet
-//     decodes all of them eagerly at load.
-//   - Version 2 stores a per-node directory — one (blob length, label
-//     words) uvarint pair per node — followed by the concatenated blobs.
-//     ReadSketchSet then performs an O(n) directory scan, points each
-//     node's blob into the retained payload buffer with zero per-entry
-//     copies, and decodes a label only when a query first touches it.
-//     Size statistics (SketchWords and friends) answer from the
-//     directory without decoding anything.
-//   - Version 3 is the node-range shard envelope: version 2's layout
-//     plus the shard's (first node, total nodes) recorded right after
-//     the node count, so a shard knows which global ids it answers for
-//     and how large the full id space is. WriteShard emits it; a shard
-//     set loads exactly like version 2 (lazy, zero-copy) and addresses
-//     its sketches by global node id.
+// Version 2 holds a full set. Version 3 is the node-range shard
+// envelope: version 2's layout plus the shard's (first node, total
+// nodes) recorded right after the node count, so a shard knows which
+// global ids it answers for and how large the full id space is.
+// WriteShard emits it; a shard set loads exactly like version 2 and
+// addresses its sketches by global node id. Any other version byte —
+// including the retired eager version 1 — is rejected as corrupt.
 const (
 	setMagic = "DSKSET"
-	// SetVersion1 is the eager envelope version (the only one before
-	// this release). ReadSketchSet still reads it; WriteToVersion still
-	// writes it for compatibility with older readers.
-	SetVersion1 = 1
-	// SetVersion2 is the lazy-loading envelope version with the per-node
-	// label directory. WriteTo writes it by default for unsharded sets.
+	// SetVersion2 is the envelope version of a full (unsharded) set.
 	SetVersion2 = 2
 	// SetVersion3 is the node-range shard envelope: version 2 plus the
 	// shard range. Only sharded sets (WriteShard slices) use it.
 	SetVersion3 = 3
 )
+
+// checkVersion rejects an envelope version byte this build cannot read.
+func checkVersion(version int) error {
+	if version < SetVersion2 || version > SetVersion3 {
+		return corrupt(int64(len(setMagic)), "unsupported sketch-set version %d (this build reads versions %d through %d)", version, SetVersion2, SetVersion3)
+	}
+	return nil
+}
 
 func putUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
@@ -640,45 +644,35 @@ func putStats(buf *bytes.Buffer, s Stats) {
 	putUvarint(buf, uint64(s.Words))
 }
 
-// WriteTo serializes the set in its current envelope format: version 2
-// (lazy-loadable) for an unsharded set, version 3 (version 2 plus the
-// shard range) for a node-range shard. It implements io.WriterTo. Use
-// WriteToVersion to emit a version-1 envelope for older readers.
+// WriteTo serializes the set in its envelope format: version 2 for an
+// unsharded set, version 3 (version 2 plus the shard range) for a
+// node-range shard. It implements io.WriterTo.
 func (s *SketchSet) WriteTo(w io.Writer) (int64, error) {
-	if s.Sharded() {
-		return s.WriteToVersion(w, SetVersion3)
-	}
-	return s.WriteToVersion(w, SetVersion2)
+	return s.WriteToVersion(w, s.writeVersion())
 }
 
-// WriteToVersion serializes the set in the requested envelope version.
-// All versions are read back by ReadSketchSet with byte-identical query
-// results; 1 and 2 differ only in load behavior (eager vs lazy
-// decoding), and 3 additionally records a shard's node range. A sharded
-// set can only be written as version 3 (older versions have nowhere to
-// record the range), and an unsharded set never is. A lazily loaded set
-// writes its stored blobs directly, without decoding pending labels.
+// writeVersion is the one envelope version that can hold the set.
+func (s *SketchSet) writeVersion() int {
+	if s.Sharded() {
+		return SetVersion3
+	}
+	return SetVersion2
+}
+
+// WriteToVersion serializes the set in the requested envelope version,
+// which ReadSketchSet reads back with byte-identical query results. A
+// sharded set can only be written as version 3 (version 2 has nowhere
+// to record the range), and an unsharded set only as version 2. A set
+// loaded from an envelope writes its stored blobs directly, without
+// decoding pending labels.
 func (s *SketchSet) WriteToVersion(w io.Writer, version int) (int64, error) {
 	if s.closed {
 		return 0, ErrSetClosed
 	}
-	if version < SetVersion1 || version > SetVersion3 {
-		return 0, fmt.Errorf("distsketch: unknown envelope version %d (have %d through %d)", version, SetVersion1, SetVersion3)
-	}
-	if s.Sharded() && version != SetVersion3 {
-		return 0, fmt.Errorf("distsketch: a node-range shard requires envelope version %d (version %d has no shard range)", SetVersion3, version)
-	}
-	if !s.Sharded() && version == SetVersion3 {
-		return 0, fmt.Errorf("distsketch: envelope version %d is for node-range shards; write an unsharded set as version %d", SetVersion3, SetVersion2)
+	if want := s.writeVersion(); version != want {
+		return 0, fmt.Errorf("distsketch: cannot write envelope version %d: this set is written as version %d (%d for a full set, %d for a node-range shard)", version, want, SetVersion2, SetVersion3)
 	}
 	n := s.N()
-	blob := func(u int) []byte {
-		if s.lazy != nil {
-			return s.lazy.blobs[u]
-		}
-		return sketch.Marshal(s.sketches[u].label)
-	}
-
 	var payload bytes.Buffer
 	payload.WriteByte(tagOfKind(s.kind))
 	putUvarint(&payload, uint64(n))
@@ -701,26 +695,21 @@ func (s *SketchSet) WriteToVersion(w io.Writer, version int) (int64, error) {
 	for _, u := range s.net {
 		putUvarint(&payload, uint64(u))
 	}
-	switch version {
-	case SetVersion1:
-		for u := 0; u < n; u++ {
-			b := blob(u)
-			putUvarint(&payload, uint64(len(b)))
-			payload.Write(b)
+	// Directory first (blob length + label words per node), then the
+	// concatenated blobs: a reader can locate and size every label from
+	// the directory alone. Stored blobs are written as loaded.
+	blobs := make([][]byte, n)
+	for u := range blobs {
+		if s.labels.blobs != nil {
+			blobs[u] = s.labels.blobs[u]
+		} else {
+			blobs[u] = sketch.Marshal(s.labels.slots[u].Load().label)
 		}
-	case SetVersion2, SetVersion3:
-		// Directory first (blob length + label words per node), then the
-		// concatenated blobs: a reader can locate and size every label
-		// from the directory alone.
-		blobs := make([][]byte, n)
-		for u := 0; u < n; u++ {
-			blobs[u] = blob(u)
-			putUvarint(&payload, uint64(len(blobs[u])))
-			putUvarint(&payload, uint64(s.wordsAt(u)))
-		}
-		for u := 0; u < n; u++ {
-			payload.Write(blobs[u])
-		}
+		putUvarint(&payload, uint64(len(blobs[u])))
+		putUvarint(&payload, uint64(s.wordsAt(u)))
+	}
+	for _, b := range blobs {
+		payload.Write(b)
 	}
 
 	var head bytes.Buffer
@@ -814,25 +803,25 @@ func getStats(r *bytes.Reader) (Stats, error) {
 	return s, nil
 }
 
-// ReadSketchSet deserializes a set written by WriteTo or WriteToVersion,
-// reading both envelope versions. The input is validated end to end:
-// envelope version, payload checksum, and every node's sketch (kind and
-// owner must match its slot), so a corrupt or truncated file yields an
-// error, never a panic or a silently wrong set. An envelope holding zero
+// ReadSketchSet deserializes a set written by WriteTo or WriteToVersion.
+// The input is validated end to end: envelope version, payload checksum,
+// and every node's directory entry and sketch header (kind and owner
+// must match its slot), so a corrupt or truncated file yields an error,
+// never a panic or a silently wrong set. An envelope holding zero
 // sketches is rejected too — every query against such a set would be out
 // of range.
 //
-// Truncation, checksum failures and unparseable payloads return a typed
+// Truncation, checksum failures, unparseable payloads and unsupported
+// versions (the retired version 1 among them) return a typed
 // *ErrCorruptEnvelope carrying the byte offset where the corruption was
 // detected (match with errors.As); LoadSketchSet builds its quarantine
 // behavior on that distinction. I/O errors from r itself pass through
 // untyped.
 //
-// A version-1 envelope decodes every label at load. A version-2 envelope
-// loads lazily: the directory is scanned (O(n)), each label's bytes are
-// pointed into the retained payload buffer with zero copies, the tag and
-// owner of every label are verified, and full decoding happens on first
-// touch — serving startup no longer pays for labels nobody queries.
+// Loading is lazy: the directory is scanned (O(n)), each label's bytes
+// are pointed into the retained payload buffer with zero copies, the tag
+// and owner of every label are verified, and full decoding happens on
+// first touch — serving startup does not pay for labels nobody queries.
 func ReadSketchSet(r io.Reader) (*SketchSet, error) {
 	cr := &countingReader{r: r}
 	head := make([]byte, len(setMagic)+1)
@@ -843,8 +832,8 @@ func ReadSketchSet(r io.Reader) (*SketchSet, error) {
 		return nil, corrupt(0, "not a sketch set (bad magic)")
 	}
 	version := int(head[len(setMagic)])
-	if version < SetVersion1 || version > SetVersion3 {
-		return nil, corrupt(int64(len(setMagic)), "unsupported sketch-set version %d (this build reads versions %d through %d)", version, SetVersion1, SetVersion3)
+	if err := checkVersion(version); err != nil {
+		return nil, err
 	}
 	br := newByteReader(cr)
 	plen, err := binary.ReadUvarint(br)
@@ -898,7 +887,7 @@ func parseSetPayload(payload []byte, version int, base int64) (*SketchSet, error
 		return nil, fail("unknown sketch kind tag %d", tag)
 	}
 	set := &SketchSet{kind: kind, envVersion: version}
-	n, err := getCount(pr, 2) // each sketch costs ≥ 2 payload bytes in both versions
+	n, err := getCount(pr, 2) // each directory entry costs ≥ 2 payload bytes
 	if err != nil {
 		return nil, fail("node count: %v", err)
 	}
@@ -984,52 +973,24 @@ func parseSetPayload(payload []byte, version int, base int64) (*SketchSet, error
 		}
 		set.net = append(set.net, int(u))
 	}
-	if version == SetVersion2 || version == SetVersion3 {
-		return parseLazySketches(set, payload, pr, n, base)
-	}
-	set.sketches = make([]*Sketch, n)
-	for u := 0; u < n; u++ {
-		blobLen, err := getCount(pr, 1)
-		if err != nil {
-			return nil, fail("node %d: %v", u, err)
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(pr, blob); err != nil {
-			return nil, fail("node %d: %v", u, err)
-		}
-		sk, err := ParseSketch(blob)
-		if err != nil {
-			return nil, fail("node %d: %v", u, err)
-		}
-		if sk.Kind() != kind {
-			return nil, fail("node %d: sketch kind %s in a %s set", u, sk.Kind(), kind)
-		}
-		if sk.Owner() != u {
-			return nil, fail("node %d: sketch owned by %d", u, sk.Owner())
-		}
-		set.sketches[u] = sk
-	}
-	if pr.Len() != 0 {
-		return nil, fail("%d trailing payload bytes", pr.Len())
-	}
-	return set, nil
+	return parseSketches(set, payload, pr, n, base)
 }
 
-// parseLazySketches reads a version-2 payload's sketch section: the
-// per-node directory, then zero-copy blob slices into the retained
-// payload. Each blob's leading tag byte and owner varint are verified at
-// load (the same kind/owner guarantees the eager path gives); the label
-// body decodes on first touch. base is the payload's envelope offset,
-// recorded per blob so a first-touch decode failure can name the bad
-// bytes.
-func parseLazySketches(set *SketchSet, payload []byte, pr *bytes.Reader, n int, base int64) (*SketchSet, error) {
+// parseSketches reads a payload's sketch section: the per-node
+// directory, then zero-copy blob slices into the retained payload. Each
+// blob's leading tag byte and owner varint are verified at load; the
+// label body decodes on first touch. base is the payload's envelope
+// offset, recorded per blob so a first-touch decode failure can name
+// the bad bytes.
+func parseSketches(set *SketchSet, payload []byte, pr *bytes.Reader, n int, base int64) (*SketchSet, error) {
 	pos := func() int64 { return base + int64(len(payload)-pr.Len()) }
 	fail := func(format string, args ...any) error { return corrupt(pos(), format, args...) }
-	lz := &lazyLabels{
+	st := labelStore{
+		slots:   make([]atomic.Pointer[Sketch], n),
+		decoded: new(atomic.Int64),
 		blobs:   make([][]byte, n),
 		words:   make([]int, n),
 		offsets: make([]int64, n),
-		slots:   make([]atomic.Pointer[Sketch], n),
 	}
 	lens := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -1045,7 +1006,7 @@ func parseLazySketches(set *SketchSet, payload []byte, pr *bytes.Reader, n int, 
 			return nil, fail("directory entry %d: implausible word count %d", u, words)
 		}
 		lens[u] = blobLen
-		lz.words[u] = int(words)
+		st.words[u] = int(words)
 	}
 	off := len(payload) - pr.Len()
 	kindTag := tagOfKind(set.kind)
@@ -1057,27 +1018,27 @@ func parseLazySketches(set *SketchSet, payload []byte, pr *bytes.Reader, n int, 
 			return nil, corrupt(base+int64(off), "node %d: blob length %d exceeds payload", u, lens[u])
 		}
 		blob := payload[off : off+lens[u] : off+lens[u]]
-		lz.offsets[u] = base + int64(off)
+		st.offsets[u] = base + int64(off)
 		off += lens[u]
 		if blob[0] != kindTag {
-			return nil, corrupt(lz.offsets[u], "node %d: sketch tag %d in a %s set", u, blob[0], set.kind)
+			return nil, corrupt(st.offsets[u], "node %d: sketch tag %d in a %s set", u, blob[0], set.kind)
 		}
 		owner, vn := binary.Varint(blob[1:])
 		if vn <= 0 {
-			return nil, corrupt(lz.offsets[u], "node %d: unreadable sketch owner", u)
+			return nil, corrupt(st.offsets[u], "node %d: unreadable sketch owner", u)
 		}
 		// Slot u of a shard envelope holds global node shardLo+u; the
 		// blob's owner field must agree, or the shard would serve some
 		// other node's label under this id.
 		if owner != int64(set.shardLo+u) {
-			return nil, corrupt(lz.offsets[u], "node %d: sketch owned by %d", set.shardLo+u, owner)
+			return nil, corrupt(st.offsets[u], "node %d: sketch owned by %d", set.shardLo+u, owner)
 		}
-		lz.blobs[u] = blob
+		st.blobs[u] = blob
 	}
 	if off != len(payload) {
 		return nil, corrupt(base+int64(off), "%d trailing payload bytes", len(payload)-off)
 	}
-	set.lazy = lz
+	set.labels = st
 	return set, nil
 }
 

@@ -84,31 +84,20 @@ func checkShardRanges(n int, ranges []ShardRange) error {
 }
 
 // shardView returns a SketchSet that views the slice [r.Lo, r.Hi) of s
-// without copying any label bytes: a lazy set's blob directory is
-// sub-sliced, a decoded set's sketch slice is sub-sliced. The view is an
-// internal serialization vehicle (it lives only for the duration of a
-// WriteShard call), so it does not retain s's backing — s must stay open
-// while the view is written.
+// without copying any label bytes: the label store is sub-sliced. The
+// view is an internal serialization vehicle (it lives only for the
+// duration of a WriteShard call), so it does not retain s's backing — s
+// must stay open while the view is written.
 func (s *SketchSet) shardView(r ShardRange) *SketchSet {
-	v := &SketchSet{
+	return &SketchSet{
 		kind:       s.kind,
+		labels:     s.labels.slice(r.Lo, r.Hi),
 		envVersion: s.envVersion,
 		cost:       s.cost,
 		net:        s.net,
 		shardLo:    r.Lo,
 		shardTotal: s.TotalNodes(),
 	}
-	if s.lazy != nil {
-		v.lazy = &lazyLabels{
-			blobs:   s.lazy.blobs[r.Lo:r.Hi],
-			words:   s.lazy.words[r.Lo:r.Hi],
-			offsets: s.lazy.offsets[r.Lo:r.Hi],
-			slots:   s.lazy.slots[r.Lo:r.Hi],
-		}
-	} else {
-		v.sketches = s.sketches[r.Lo:r.Hi]
-	}
-	return v
 }
 
 // WriteShard serializes the slice [r.Lo, r.Hi) of the set as a

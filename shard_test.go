@@ -192,8 +192,8 @@ func TestShardReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.UpdateEdge(g, 0, 1); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("UpdateEdge on a shard: %v, want read-only rejection", err)
+	if _, err := shard.UpdateEdges(g, []EdgeChange{{U: 0, V: 1}}); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("UpdateEdges on a shard: %v, want read-only rejection", err)
 	}
 	var buf bytes.Buffer
 	if _, err := shard.WriteToVersion(&buf, SetVersion2); err == nil {

@@ -201,8 +201,7 @@ func TestUpdateEdgesUnsoundBatchRejectsAtomically(t *testing.T) {
 
 // TestUpdateEdgesCDGNeedsPrevWeight: without a certified previous
 // weight, CDG and graceful batches are rejected with ErrRebuildRequired
-// (their net-restricted labels admit no post-hoc exactness check), and
-// the single-edge UpdateEdge convenience inherits that.
+// (their net-restricted labels admit no post-hoc exactness check).
 func TestUpdateEdgesCDGNeedsPrevWeight(t *testing.T) {
 	g, err := NewRandomWeightedGraph(FamilyGeometric, 48, 5, 50, 24)
 	if err != nil {
@@ -217,9 +216,6 @@ func TestUpdateEdgesCDGNeedsPrevWeight(t *testing.T) {
 		}
 		if _, err := set.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}}); !errors.Is(err, ErrRebuildRequired) {
 			t.Errorf("%s: unknown PrevWeight: got %v, want ErrRebuildRequired", kind, err)
-		}
-		if _, err := set.UpdateEdge(ng, e.U, e.V); !errors.Is(err, ErrRebuildRequired) {
-			t.Errorf("%s: UpdateEdge: got %v, want ErrRebuildRequired", kind, err)
 		}
 		// With the weight certified, the same change repairs to the exact
 		// rebuild.
@@ -298,8 +294,8 @@ func TestUpdateEdgeTZSingle(t *testing.T) {
 	}
 	e := g.Edges()[g.M()/3]
 	ng := reweighted(t, g, map[[2]int]Dist{{e.U, e.V}: 1})
-	if _, err := set.UpdateEdge(ng, e.U, e.V); err != nil {
-		t.Fatalf("UpdateEdge: %v", err)
+	if _, err := set.UpdateEdges(ng, []EdgeChange{{U: e.U, V: e.V}}); err != nil {
+		t.Fatalf("UpdateEdges: %v", err)
 	}
 	rebuilt, err := Build(ng, kindOptions(KindTZ, 26))
 	if err != nil {
