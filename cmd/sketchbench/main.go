@@ -2,8 +2,7 @@
 // DESIGN.md §4) and prints their tables — the data behind EXPERIMENTS.md.
 // It also measures the facade's serving hot path: the decode-once query
 // (ParseSketch + Sketch.Estimate) against the byte-level Estimate that
-// re-decodes per call, and the HTTP serving layer's throughput
-// (sketchserve single GET /query vs batched POST /query on loopback).
+// re-decodes per call.
 //
 // Usage:
 //
@@ -45,9 +44,7 @@ type benchReport struct {
 	GOMAXPROCS   int              `json:"gomaxprocs"`
 	Experiments  []benchRun       `json:"experiments"`
 	QueryPath    []queryPathRun   `json:"query_path,omitempty"`
-	ServerPath   []serverPathRun  `json:"server_path,omitempty"`
 	LoadPath     []loadPathRun    `json:"load_path,omitempty"`
-	RoutedPath   []routedPathRun  `json:"routed_path,omitempty"`
 	RouterPath   []routerFaultRun `json:"router_path,omitempty"`
 	TotalSeconds float64          `json:"total_seconds"`
 	OK           bool             `json:"ok"`
@@ -85,19 +82,6 @@ type loadPathRun struct {
 	AllocPerLabel float64 `json:"alloc_bytes_per_label"`
 }
 
-// routedPathRun compares serving topologies on identical single-query
-// traffic: one server over the full set versus a router fanning out to
-// a 4-shard fleet (≤ 2 shards per query). The gap is the price of the
-// extra network hop; the win is that no single server needs the whole
-// set resident.
-type routedPathRun struct {
-	Kind      string  `json:"kind"`
-	Shards    int     `json:"shards"`
-	DirectQPS float64 `json:"direct_queries_per_second"`
-	RoutedQPS float64 `json:"routed_queries_per_second"`
-	Overhead  float64 `json:"routing_overhead"`
-}
-
 // routerFaultRun measures the replicated router's availability under
 // one injected fault scenario: how many queries of a fixed mixed
 // workload answered versus degraded, the answered-path p99 latency,
@@ -122,24 +106,12 @@ type routerFaultRun struct {
 	HedgesWon    int64   `json:"hedges_won"`
 }
 
-// serverPathRun measures sketchserve's HTTP query throughput for one
-// sketch kind: one estimate per GET /query versus many pairs per
-// batched POST /query (amortizing the per-request handler overhead).
-type serverPathRun struct {
-	Kind       string  `json:"kind"`
-	SingleQPS  float64 `json:"single_queries_per_second"`
-	BatchedQPS float64 `json:"batched_queries_per_second"`
-	BatchSize  int     `json:"batch_size"`
-	Amortize   float64 `json:"batching_speedup"`
-}
-
 func main() {
 	scale := flag.String("scale", "quick", "sweep scale: quick | full")
 	exp := flag.String("exp", "all", "comma-separated experiment IDs (E1..E12) or 'all'")
 	jsonPath := flag.String("json", "", "write per-run wall-clock JSON to this file ('-' for stdout)")
 	queryBench := flag.Bool("querybench", true, "measure the decode-once vs byte-level query path per kind")
-	serveBench := flag.Bool("servebench", true, "measure sketchserve HTTP query throughput (single vs batched)")
-	loadBench := flag.Bool("loadbench", true, "measure set startup (heap copy vs mmap open) and routed vs direct query throughput")
+	loadBench := flag.Bool("loadbench", true, "measure set startup (heap copy vs mmap open)")
 	routerBench := flag.Bool("routerbench", false, "measure routed availability under replica faults and the hedge's tail win (injects faults and delays; opt-in)")
 	flag.Parse()
 
@@ -204,13 +176,6 @@ func main() {
 			fmt.Printf("%-10s  v%-2d  %-7s  %12d  %14.0f  %16.0f\n", r.Kind, r.Version, r.Backing, r.EnvelopeBytes, r.NsPerLabel, r.AllocPerLabel)
 		}
 		fmt.Println()
-		report.RoutedPath = runRouteBench()
-		fmt.Println("routed path: single-query throughput, one full server vs a 4-shard fleet behind the router")
-		fmt.Printf("%-10s  %6s  %14s  %14s  %9s\n", "kind", "shards", "direct q/s", "routed q/s", "overhead")
-		for _, r := range report.RoutedPath {
-			fmt.Printf("%-10s  %6d  %14.0f  %14.0f  %8.1fx\n", r.Kind, r.Shards, r.DirectQPS, r.RoutedQPS, r.Overhead)
-		}
-		fmt.Println()
 	}
 	if *routerBench {
 		report.RouterPath = runRouterBench()
@@ -220,15 +185,6 @@ func main() {
 		for _, r := range report.RouterPath {
 			fmt.Printf("%-22s  %7d  %8d  %8d  %6.3f  %11.2f  %8d  %7d  %6d\n",
 				r.Scenario, r.Queries, r.Answered, r.Degraded, r.Availability, r.P99Ms, r.Retries, r.HedgesFired, r.HedgesWon)
-		}
-		fmt.Println()
-	}
-	if *serveBench {
-		report.ServerPath = runServeBench()
-		fmt.Println("server path: sketchserve HTTP throughput on 256-node geometric (loopback httptest)")
-		fmt.Printf("%-10s  %14s  %16s  %8s\n", "kind", "single q/s", "batched q/s", "amortize")
-		for _, r := range report.ServerPath {
-			fmt.Printf("%-10s  %14.0f  %16.0f  %7.1fx\n", r.Kind, r.SingleQPS, r.BatchedQPS, r.Amortize)
 		}
 		fmt.Println()
 	}
@@ -389,99 +345,6 @@ func runLoadBench() []loadPathRun {
 			})
 		}
 		os.Remove(path)
-	}
-	return out
-}
-
-// runRouteBench hammers the same single-query traffic at a full server
-// and at a router fronting a 4-shard fleet (every shard mmap-backed),
-// reporting both throughputs. Queries mix same- and cross-shard pairs
-// the way real traffic would.
-func runRouteBench() []routedPathRun {
-	const (
-		n       = 256
-		shards  = 4
-		queries = 2000
-	)
-	g, err := distsketch.NewRandomWeightedGraph(distsketch.FamilyGeometric, n, 1, 100, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "routebench graph: %v\n", err)
-		os.Exit(1)
-	}
-	pair := func(i int) (int, int) { return i % n, (i*37 + 11) % n }
-	hammer := func(base string, client *http.Client) float64 {
-		start := time.Now()
-		for i := 0; i < queries; i++ {
-			u, v := pair(i)
-			resp, err := client.Get(fmt.Sprintf("%s/query?u=%d&v=%d", base, u, v))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "routebench: %v\n", err)
-				os.Exit(1)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				fmt.Fprintf(os.Stderr, "routebench: status %d\n", resp.StatusCode)
-				os.Exit(1)
-			}
-		}
-		return float64(queries) / time.Since(start).Seconds()
-	}
-	var out []routedPathRun
-	for _, kind := range []distsketch.Kind{distsketch.KindTZ, distsketch.KindLandmark} {
-		set, err := distsketch.Build(g, distsketch.Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "routebench %s: %v\n", kind, err)
-			os.Exit(1)
-		}
-		fail := func(err error) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "routebench %s: %v\n", kind, err)
-				os.Exit(1)
-			}
-		}
-
-		direct, err := serve.New(set, serve.Options{})
-		fail(err)
-		directTS := httptest.NewServer(direct.Handler())
-
-		dir, err := os.MkdirTemp("", "routebench")
-		fail(err)
-		paths, err := distsketch.SaveShards(dir, set, distsketch.EvenShardRanges(n, shards))
-		fail(err)
-		routerShards := make([]serve.RouterShard, len(paths))
-		var cleanup []func()
-		for i, p := range paths {
-			shard, err := distsketch.OpenSketchSet(p)
-			fail(err)
-			srv, err := serve.New(shard, serve.Options{})
-			fail(err)
-			ts := httptest.NewServer(srv.Handler())
-			lo, hi := shard.NodeRange()
-			routerShards[i] = serve.RouterShard{Base: ts.URL, Range: distsketch.ShardRange{Lo: lo, Hi: hi}}
-			cleanup = append(cleanup, ts.Close, func() { shard.Close() })
-		}
-		router, err := serve.NewRouter(routerShards, serve.RouterOptions{})
-		fail(err)
-		routerTS := httptest.NewServer(router.Handler())
-
-		directQPS := hammer(directTS.URL, directTS.Client())
-		routedQPS := hammer(routerTS.URL, routerTS.Client())
-
-		routerTS.Close()
-		for _, f := range cleanup {
-			f()
-		}
-		directTS.Close()
-		os.RemoveAll(dir)
-
-		out = append(out, routedPathRun{
-			Kind:      string(kind),
-			Shards:    shards,
-			DirectQPS: directQPS,
-			RoutedQPS: routedQPS,
-			Overhead:  directQPS / routedQPS,
-		})
 	}
 	return out
 }
@@ -650,90 +513,6 @@ func runRouterBench() []routerFaultRun {
 			Retries:      stats.Retries,
 			HedgesFired:  stats.HedgesFired,
 			HedgesWon:    stats.HedgesWon,
-		})
-	}
-	return out
-}
-
-// runServeBench measures the serving layer end to end: a loopback
-// httptest server over a built set, hammered with single GET /query
-// requests and with batched POST /query requests. The gap between the
-// two is the per-request handler overhead batching amortizes away.
-func runServeBench() []serverPathRun {
-	const (
-		n         = 256
-		singleQ   = 3000
-		batchSize = 256
-		batches   = 100
-	)
-	g, err := distsketch.NewRandomWeightedGraph(distsketch.FamilyGeometric, n, 1, 100, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "servebench graph: %v\n", err)
-		os.Exit(1)
-	}
-	pair := func(i int) (int, int) { return i % n, (i*37 + 11) % n }
-	var out []serverPathRun
-	for _, kind := range []distsketch.Kind{distsketch.KindTZ, distsketch.KindLandmark} {
-		set, err := distsketch.Build(g, distsketch.Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench %s: %v\n", kind, err)
-			os.Exit(1)
-		}
-		srv, err := serve.New(set, serve.Options{Graph: g})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench %s: %v\n", kind, err)
-			os.Exit(1)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		client := ts.Client()
-
-		start := time.Now()
-		for i := 0; i < singleQ; i++ {
-			u, v := pair(i)
-			resp, err := client.Get(fmt.Sprintf("%s/query?u=%d&v=%d", ts.URL, u, v))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "servebench %s: %v\n", kind, err)
-				os.Exit(1)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				fmt.Fprintf(os.Stderr, "servebench %s: status %d\n", kind, resp.StatusCode)
-				os.Exit(1)
-			}
-		}
-		singleQPS := float64(singleQ) / time.Since(start).Seconds()
-
-		var body strings.Builder
-		body.WriteString(`{"pairs":[`)
-		for i := 0; i < batchSize; i++ {
-			if i > 0 {
-				body.WriteString(",")
-			}
-			u, v := pair(i)
-			fmt.Fprintf(&body, `{"u":%d,"v":%d}`, u, v)
-		}
-		body.WriteString("]}")
-		start = time.Now()
-		for i := 0; i < batches; i++ {
-			resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body.String()))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "servebench %s: %v\n", kind, err)
-				os.Exit(1)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				fmt.Fprintf(os.Stderr, "servebench %s: status %d\n", kind, resp.StatusCode)
-				os.Exit(1)
-			}
-		}
-		batchedQPS := float64(batchSize*batches) / time.Since(start).Seconds()
-		ts.Close()
-
-		out = append(out, serverPathRun{
-			Kind: string(kind), SingleQPS: singleQPS, BatchedQPS: batchedQPS,
-			BatchSize: batchSize, Amortize: batchedQPS / singleQPS,
 		})
 	}
 	return out

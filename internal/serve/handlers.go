@@ -11,23 +11,22 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"distsketch"
 )
 
 // Wire types. Status conventions: 400 for input that does not parse
 // (non-integer ids, bad JSON, negative weights), 404 for well-formed ids
-// naming a node or edge that does not exist, 413 for oversized batches,
-// 409 for /update-edge without a loaded topology (or /save without a
-// snapshot path), 422 with rebuild_required:true when a batch cannot be
-// repaired incrementally (a weight increase the kind cannot verify
-// exact) and the caller must rebuild instead, 503 with Retry-After when
-// the admission gate sheds
-// load, the per-request deadline expires mid-execution, or /readyz is
-// draining, and 500 with node/offset context when a lazily loaded label
-// turns out to be corrupt (distsketch.ErrCorruptLabel; counted in
-// /stats as decode_failures).
+// naming a node or edge that does not exist, 421 with the shard hint for
+// ids another node-range shard owns, 413 for oversized batches, 409 for
+// /update-edge without a loaded topology (or /save without a snapshot
+// path), 422 with rebuild_required:true when a batch cannot be repaired
+// incrementally (a weight increase the kind cannot verify exact) and the
+// caller must rebuild instead, 503 with Retry-After when the admission
+// gate sheds load, the per-request deadline expires mid-execution, or
+// /readyz is draining, 500 with node/offset context when a lazily loaded
+// label turns out to be corrupt (distsketch.ErrCorruptLabel; counted in
+// /stats as decode_failures), and 502 from a router whose upstream failed.
 
 // QueryResult is one estimate in a single or batched query reply.
 type QueryResult struct {
@@ -262,14 +261,6 @@ func queryParam(r *http.Request, name string) (int, error) {
 	return v, nil
 }
 
-// result formats one checked query outcome as a wire QueryResult for
-// the single-query path, where one escaping estimate per request is
-// noise next to the JSON encode.
-func result(u, v int, d distsketch.Dist, err error) QueryResult {
-	var slot distsketch.Dist
-	return resultInto(u, v, d, err, &slot)
-}
-
 // resultInto formats one checked query outcome as a wire QueryResult,
 // storing a finite estimate in *slot and referencing it from the result.
 // The caller owns slot's lifetime: the batch path hands out slots from a
@@ -291,119 +282,20 @@ func resultInto(u, v int, d distsketch.Dist, err error, slot *distsketch.Dist) Q
 	return res
 }
 
-// queryStatus maps a checked-query failure to a status code, counting
-// decode failures as it classifies: an out-of-range id is the client's
-// fault (404); an id owned by a different node-range shard is a routing
-// miss (421 Misdirected Request — the caller should re-aim, see
-// writeQueryError's hint); a corrupt lazily loaded label is the
-// envelope's fault (500 — the error text already names the node and its
-// envelope byte offset, so the operator can find the bad bytes).
-func (s *Server) queryStatus(err error) int {
-	if errors.Is(err, distsketch.ErrShardRange) {
-		return http.StatusMisdirectedRequest
-	}
-	if errors.Is(err, distsketch.ErrNodeRange) {
-		return http.StatusNotFound
-	}
-	s.countDecodeFailure(err)
-	return http.StatusInternalServerError
+// The local backend: Server answers from the set snapshot each request
+// loads once from s.cur.
+
+func (s *Server) query(_ context.Context, u, v int) (distsketch.Dist, error) {
+	return s.cur.Load().set.QueryChecked(u, v)
 }
 
-// writeQueryError writes a checked-query failure, attaching the serving
-// shard's range as a redirect hint when the failure is a shard miss.
-func (s *Server) writeQueryError(w http.ResponseWriter, set *distsketch.SketchSet, err error) {
-	status := s.queryStatus(err)
-	reply := errorReply{Error: err.Error()}
-	if status == http.StatusMisdirectedRequest {
-		lo, hi := set.NodeRange()
-		reply.Shard = &ShardHint{Lo: lo, Hi: hi, Total: set.TotalNodes()}
-	}
-	writeJSON(w, status, reply)
-}
-
-// countDecodeFailure bumps the decode_failures counter when err is (or
-// wraps) a corrupt-label error.
-func (s *Server) countDecodeFailure(err error) {
-	var cl *distsketch.ErrCorruptLabel
-	if errors.As(err, &cl) {
-		s.decodeFailures.Add(1)
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	u, err := queryParam(r, "u")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	v, err := queryParam(r, "v")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// batch answers pairs from one snapshot: every pair is answered from the
+// same set version even if a repair swaps mid-request.
+func (s *Server) batch(ctx context.Context, pairs []QueryPair, sc *batchScratch) (int64, int, error) {
 	set := s.cur.Load().set
-	d, err := set.QueryChecked(u, v)
-	if err != nil {
-		s.writeQueryError(w, set, err)
-		return
+	if err := shardMiss(set, pairs); err != nil {
+		return 0, 0, err
 	}
-	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, result(u, v, d, nil))
-}
-
-// decodeBatchBody decodes the JSON body of a batch request (POST /query
-// or POST /sketch) into into, answering 413 or 400 itself when it
-// cannot. The bytes read are bounded before decoding: the item cap
-// alone would let a huge body allocate its whole array first. ~64 bytes
-// covers any one encoded pair or node id.
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, maxBatch int, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, int64(maxBatch)*64+1024)
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		if maxErr := (*http.MaxBytesError)(nil); errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// decodeSketchRequest decodes a POST /sketch body and applies the batch
-// cap shared with POST /query, answering 400 or 413 itself.
-func decodeSketchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) ([]int, bool) {
-	var req SketchBatchRequest
-	if !decodeBatchBody(w, r, maxBatch, &req) {
-		return nil, false
-	}
-	if len(req.Nodes) > maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d nodes exceed the %d-node batch cap", len(req.Nodes), maxBatch)
-		return nil, false
-	}
-	return req.Nodes, true
-}
-
-// writeSketchFrame appends one POST /sketch reply frame to buf: blob's
-// uvarint length, then blob.
-func writeSketchFrame(buf *bytes.Buffer, blob []byte) {
-	buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(len(blob))))
-	buf.Write(blob)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeBatchBody(w, r, s.maxBatch, &req) {
-		return
-	}
-	if len(req.Pairs) > s.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d pairs exceed the %d-pair batch cap", len(req.Pairs), s.maxBatch)
-		return
-	}
-	// One snapshot for the whole batch: every pair is answered from the
-	// same set version even if a repair swaps mid-request.
-	set := s.cur.Load().set
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
 	// Answer in (u, v)-sorted order while keeping the reply in request
 	// order: a batch with repeated sources runs each source's queries
 	// back to back, so the merge-intersections of one source's label hit
@@ -411,56 +303,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// once for its whole group) instead of re-faulting it per scattered
 	// pair. Sorting n small ints is noise next to the queries it speeds.
 	order := sc.order[:0]
-	for i := range req.Pairs {
+	for i := range pairs {
 		order = append(order, i)
 	}
 	sort.Slice(order, func(x, y int) bool {
-		px, py := req.Pairs[order[x]], req.Pairs[order[y]]
+		px, py := pairs[order[x]], pairs[order[y]]
 		if px.U != py.U {
 			return px.U < py.U
 		}
 		return px.V < py.V
 	})
 	sc.order = order
-	results := sc.results[:0]
-	if results == nil || cap(results) < len(req.Pairs) {
-		// Never leave results nil (a fresh pool entry): an empty batch
-		// must encode as "results":[], not "results":null.
-		results = make([]QueryResult, 0, len(req.Pairs))
+	served, reached, _ := s.executePairs(ctx, set, pairs, order, sc.results, sc.dists)
+	return served, reached, nil
+}
+
+// shardMiss returns the facade's ErrShardRange error for the first id
+// of pairs that exists in the full id space but lies outside the shard
+// set serves (never, for an unsharded set), or nil. A shard fails such
+// a batch as a whole, as POST /sketch does: a per-pair error inside a
+// 200 would hide the 421 that tells a router its shard map is stale.
+func shardMiss(set *distsketch.SketchSet, pairs []QueryPair) error {
+	lo, hi := set.NodeRange()
+	total := set.TotalNodes()
+	for _, p := range pairs {
+		for _, u := range [2]int{p.U, p.V} {
+			if (u < lo || u >= hi) && u >= 0 && u < total {
+				_, err := set.SketchChecked(u)
+				return err
+			}
+		}
 	}
-	results = results[:len(req.Pairs)]
-	sc.results = results
-	// The estimate arena is pre-sized before the loop: resultInto hands
-	// out interior pointers into it, so it must never grow (and move)
-	// mid-batch.
-	dists := sc.dists
-	if cap(dists) < len(req.Pairs) {
-		dists = make([]distsketch.Dist, len(req.Pairs))
-	}
-	dists = dists[:len(req.Pairs)]
-	sc.dists = dists
-	served, stopped, finished := s.executePairs(r.Context(), set, req.Pairs, order, results, dists)
-	if !finished {
-		s.deadlines.Add(1)
-		s.queries.Add(served)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"request deadline exceeded after %d of %d pairs; split the batch or retry", stopped, len(req.Pairs))
-		return
-	}
-	// One contended atomic per batch, not per pair — the counter must
-	// not tax the hot path batching exists to amortize.
-	s.queries.Add(served)
-	// Encode into the pooled buffer and write in one shot: one reused
-	// allocation per batch instead of an encoder buffer per request.
-	sc.buf.Reset()
-	if err := json.NewEncoder(&sc.buf).Encode(BatchReply{Results: results}); err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding reply: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.buf.Bytes())
+	return nil
+}
+
+// writeSketchFrame appends one POST /sketch reply frame to buf: blob's
+// uvarint length, then blob.
+func writeSketchFrame(buf *bytes.Buffer, blob []byte) {
+	buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(len(blob))))
+	buf.Write(blob)
 }
 
 // executePairs is the batch serving hot loop: it answers every pair (in
@@ -494,66 +375,37 @@ func (s *Server) executePairs(ctx context.Context, set *distsketch.SketchSet, pa
 	return served, len(order), true
 }
 
-// batchScratch is the per-batch reusable state: the sort permutation,
-// the result slice the reply serializes from, the estimate arena those
-// results point into, and the output buffer (JSON for POST /query,
-// sketch frames for POST /sketch). Pooling it keeps both batch
-// endpoints' per-request allocations flat regardless of batch size.
-type batchScratch struct {
-	order   []int
-	results []QueryResult
-	dists   []distsketch.Dist
-	buf     bytes.Buffer
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	u, err := strconv.Atoi(r.PathValue("u"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "node id %q is not an integer", r.PathValue("u"))
-		return
-	}
+func (s *Server) sketch(_ context.Context, u int) ([]byte, distsketch.Kind, int, error) {
 	set := s.cur.Load().set
 	blob, err := set.SketchBytesChecked(u)
 	if err != nil {
-		s.writeQueryError(w, set, err)
-		return
+		return nil, "", 0, err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Sketch-Kind", string(set.Kind()))
-	w.Header().Set("X-Sketch-Words", strconv.Itoa(set.SketchWords(u)))
-	w.Write(blob)
+	return blob, set.Kind(), set.SketchWords(u), nil
 }
 
-// handleSketchBatch is the batch form of GET /sketch/{u}, the way
-// POST /query is the batch form of GET /query: one round trip returns
-// every sketch a caller needs from this set. The whole request fails
-// with the status GET would give the first id the set cannot answer
-// (404, or 421 with the shard hint), so a 200 always carries every
-// requested blob.
-func (s *Server) handleSketchBatch(w http.ResponseWriter, r *http.Request) {
-	nodes, ok := decodeSketchRequest(w, r, s.maxBatch)
-	if !ok {
-		return
-	}
+func (s *Server) sketches(_ context.Context, nodes []int, buf *bytes.Buffer) error {
 	set := s.cur.Load().set
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	sc.buf.Reset()
 	for _, u := range nodes {
 		blob, err := set.SketchBytesChecked(u)
 		if err != nil {
-			s.writeQueryError(w, set, err)
-			return
+			return err
 		}
-		writeSketchFrame(&sc.buf, blob)
+		writeSketchFrame(buf, blob)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(sc.buf.Bytes())
+	return nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// shardHint names the served set's range. Only a shard reports
+// ErrShardRange, and a shard is never swapped (it serves without a
+// graph), so this is the range of the set the failing request read.
+func (s *Server) shardHint() *ShardHint {
+	set := s.cur.Load().set
+	lo, hi := set.NodeRange()
+	return &ShardHint{Lo: lo, Hi: hi, Total: set.TotalNodes()}
+}
+
+func (s *Server) stats() any {
 	st := s.cur.Load()
 	cost := st.set.Cost()
 	decoded := st.set.DecodedSketches()
@@ -595,8 +447,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Draining:         s.draining.Load(),
 	}
 	if st.set.Sharded() {
-		lo, hi := st.set.NodeRange()
-		reply.Shard = &ShardHint{Lo: lo, Hi: hi, Total: st.set.TotalNodes()}
+		reply.Shard = s.shardHint()
 	}
 	if edges := s.updateEdges.Load(); edges > 0 {
 		reply.Repair.EdgesByKind = map[string]int64{string(st.set.Kind()): edges}
@@ -606,7 +457,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Name: p.Name, Rounds: p.Rounds, Messages: p.Messages, Words: p.Words,
 		})
 	}
-	writeJSON(w, http.StatusOK, reply)
+	return reply
+}
+
+// ready reports the served set ready. With Options.ProbeDecode it
+// first proves the envelope decodes by touching the set's first node's
+// label through the query path — a lazily loaded envelope corrupted
+// behind its checksum fails here, before traffic is routed to it.
+func (s *Server) ready() (ReadyReply, error) {
+	set := s.cur.Load().set
+	if s.probeDecode {
+		// Probe the first node this set actually holds — node 0 belongs to
+		// a different shard on all but the first shard server.
+		lo, _ := set.NodeRange()
+		if _, err := set.QueryChecked(lo, lo); err != nil {
+			return ReadyReply{}, fmt.Errorf("decode probe failed: %w", err)
+		}
+	}
+	return ReadyReply{Ready: true, Nodes: set.N(), SketchesDecoded: set.DecodedSketches()}, nil
 }
 
 // decodeUpdateBody parses a POST /update-edge body: a JSON array of
@@ -801,42 +669,6 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	s.snapshots.Add(1)
 	writeJSON(w, http.StatusOK, SaveReply{
 		Path: s.snapshotPath, Nodes: st.set.N(), EnvelopeVersion: version,
-	})
-}
-
-// handleHealthz is the liveness probe: 200 whenever the process is up
-// and routing requests. It deliberately does no work — liveness failing
-// should mean "restart me", and a momentarily overloaded server must
-// not be restarted into a thundering herd.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthReply{Status: "ok"})
-}
-
-// handleReadyz is the readiness probe: 200 while the server should
-// receive traffic, 503 once a drain has begun (load balancers pull the
-// backend while in-flight requests finish). With Options.ProbeDecode it
-// additionally proves the envelope decodes by touching node 0's label
-// through the query path — a lazily loaded envelope corrupted behind
-// its checksum fails here, before traffic is routed to it.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	st := s.cur.Load()
-	if s.probeDecode {
-		// Probe the first node this set actually holds — node 0 belongs to
-		// a different shard on all but the first shard server.
-		lo, _ := st.set.NodeRange()
-		if _, err := st.set.QueryChecked(lo, lo); err != nil {
-			s.countDecodeFailure(err)
-			writeError(w, http.StatusServiceUnavailable, "decode probe failed: %v", err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, ReadyReply{
-		Ready: true, Nodes: st.set.N(), SketchesDecoded: st.set.DecodedSketches(),
 	})
 }
 

@@ -1,10 +1,9 @@
 package serve
 
-// The robustness middleware stack, shared by the shard server and the
-// router (both tiers fail the same ways). Three concerns, in the order
-// they wrap a request (recovery outermost):
+// The robustness middleware stack of the frontend both tiers share.
+// Three concerns, in the order they wrap a request (recovery outermost):
 //
-//   - recoverMiddleware: a handler panic becomes a logged 500 and the
+//   - withRecover: a handler panic becomes a logged 500 and the
 //     process survives; a panic after the response already started
 //     aborts the connection instead, so the client can never mistake a
 //     truncated body for a complete 200.
@@ -20,7 +19,6 @@ package serve
 
 import (
 	"context"
-	"log"
 	"net/http"
 	"runtime/debug"
 	"sync/atomic"
@@ -44,10 +42,10 @@ func (rw *recoverWriter) Write(b []byte) (int, error) {
 	return rw.ResponseWriter.Write(b)
 }
 
-// recoverMiddleware converts a handler panic into a logged 500 (counted
-// in panics) so one poisoned request cannot take down every other
+// withRecover converts a handler panic into a logged 500 (counted in
+// panics) so one poisoned request cannot take down every other
 // connection in the process.
-func recoverMiddleware(logger *log.Logger, panics *atomic.Int64, h http.Handler) http.Handler {
+func (f *frontend) withRecover(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rw := &recoverWriter{ResponseWriter: w}
 		defer func() {
@@ -60,8 +58,8 @@ func recoverMiddleware(logger *log.Logger, panics *atomic.Int64, h http.Handler)
 				// re-panic and let net/http handle it quietly.
 				panic(p)
 			}
-			panics.Add(1)
-			logger.Printf("serve: panic in %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			f.panics.Add(1)
+			f.logger.Printf("serve: panic in %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			if !rw.wrote {
 				writeError(rw, http.StatusInternalServerError, "internal error")
 				return
@@ -107,16 +105,4 @@ func deadlineMiddleware(timeout time.Duration, h http.Handler) http.Handler {
 		defer cancel()
 		h.ServeHTTP(w, r.WithContext(ctx))
 	})
-}
-
-func (s *Server) withRecover(h http.Handler) http.Handler {
-	return recoverMiddleware(s.logger, &s.panics, h)
-}
-
-func (s *Server) withGate(h http.Handler) http.Handler {
-	return gateMiddleware(s.sem, &s.shed, h)
-}
-
-func (s *Server) withDeadline(h http.Handler) http.Handler {
-	return deadlineMiddleware(s.reqTimeout, h)
 }

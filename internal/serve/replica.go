@@ -422,7 +422,7 @@ func getOK(ctx context.Context, client *http.Client, url string) error {
 	if err != nil {
 		return err
 	}
-	drainClose(resp)
+	drainBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s answered %d", url, resp.StatusCode)
 	}

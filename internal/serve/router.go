@@ -17,16 +17,16 @@ package serve
 // Each node range maps to a replica set, not a single server: upstream
 // calls retry across replicas, slow reads are hedged, a background
 // prober ejects and reinstates replicas, and the shard map refreshes
-// live when the fleet moves (see replica.go for the machinery). The
-// router's own handler carries the same robustness middleware as a
-// shard server: panic recovery, a bounded in-flight admission gate,
-// and a per-request deadline.
+// live when the fleet moves (see replica.go for the machinery).
 //
-// Wire compatibility: the router serves the same /query (single and
+// Wire compatibility: the router embeds the frontend a Server embeds
+// (frontend.go) and is only its remote backend, so /query (single and
 // batch), /sketch (GET /sketch/{u} and the POST /sketch batch form),
-// /stats, /healthz and /readyz shapes as a shard server, so a client
-// cannot tell a router from a single full-set server — sharding is an
-// operator decision, not a client migration.
+// /stats, /healthz and /readyz run the same handlers, middleware, batch
+// caps and status mapping on both tiers. A client cannot tell a router
+// from a single full-set server — sharding is an operator decision, not
+// a client migration. Where a server answers 500, the router answers
+// 502: its failures are its upstreams'.
 
 import (
 	"bytes"
@@ -38,7 +38,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,24 +71,10 @@ const (
 
 // RouterShard names one shard: the global node range it owns and the
 // byte-identical replica servers answering it (base URLs of the form
-// scheme://host:port, no trailing slash). Base is the single-replica
-// shorthand kept for callers that predate replica sets; when Replicas
-// is empty the shard is the one server named by Base.
+// scheme://host:port, no trailing slash).
 type RouterShard struct {
-	Base     string
 	Replicas []string
 	Range    distsketch.ShardRange
-}
-
-// bases returns the shard's normalized replica list.
-func (sh RouterShard) bases() []string {
-	if len(sh.Replicas) > 0 {
-		return sh.Replicas
-	}
-	if sh.Base != "" {
-		return []string{sh.Base}
-	}
-	return nil
 }
 
 // RouterOptions configures a Router.
@@ -149,10 +134,8 @@ type RouterOptions struct {
 // methods are safe for concurrent use. Close releases the background
 // prober and any in-flight map refresh.
 type Router struct {
-	client   *http.Client
-	maxBatch int
-	logger   *log.Logger
-	draining atomic.Bool
+	frontend
+	client *http.Client
 
 	attemptTimeout time.Duration
 	maxAttempts    int
@@ -160,8 +143,6 @@ type Router struct {
 	hedgeDelay     time.Duration
 	failThreshold  int
 	reinstateAfter int
-	reqTimeout     time.Duration
-	sem            chan struct{}
 
 	// smap is the immutable routing snapshot; requests load it once.
 	// groupBases remembers the configured replica groups for refreshes,
@@ -177,7 +158,6 @@ type Router struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	queries         atomic.Int64 // estimates served (single + batched)
 	sameShard       atomic.Int64 // pairs forwarded whole to one shard
 	crossShard      atomic.Int64 // pairs resolved by two-shard sketch exchange
 	upstreamErrors  atomic.Int64 // upstream attempts that failed
@@ -188,10 +168,8 @@ type Router struct {
 	mapRefreshes    atomic.Int64 // shard-map refreshes applied
 	mapRefreshFails atomic.Int64 // shard-map refreshes that kept the old map
 	staleMapHits    atomic.Int64 // upstream 421s proving the map stale
-	shed            atomic.Int64 // requests shed by the admission gate
-	panics          atomic.Int64 // handler panics recovered
 
-	queryHook func() // test seam: runs at the head of query handlers
+	queryHook func() // test seam: runs at the head of every query and batch
 }
 
 // NewRouter creates a router over the given shards. The shard ranges
@@ -203,23 +181,15 @@ type Router struct {
 func NewRouter(shards []RouterShard, opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		client:         &http.Client{Transport: opts.Transport},
-		maxBatch:       opts.MaxBatch,
-		logger:         opts.Logger,
 		attemptTimeout: opts.AttemptTimeout,
 		maxAttempts:    opts.MaxAttempts,
 		retryBackoff:   opts.RetryBackoff,
 		hedgeDelay:     opts.HedgeDelay,
 		failThreshold:  opts.FailThreshold,
 		reinstateAfter: opts.ReinstateAfter,
-		reqTimeout:     opts.RequestTimeout,
 		replicas:       make(map[string]*replica),
 	}
-	if rt.maxBatch <= 0 {
-		rt.maxBatch = DefaultMaxBatch
-	}
-	if rt.logger == nil {
-		rt.logger = log.Default()
-	}
+	rt.setup(rt, http.StatusBadGateway, opts.MaxBatch, opts.MaxInFlight, opts.RequestTimeout, opts.Logger)
 	if rt.attemptTimeout == 0 {
 		rt.attemptTimeout = DefaultAttemptTimeout
 	}
@@ -244,30 +214,19 @@ func NewRouter(shards []RouterShard, opts RouterOptions) (*Router, error) {
 	if rt.reinstateAfter <= 0 {
 		rt.reinstateAfter = DefaultReinstateAfter
 	}
-	if rt.reqTimeout == 0 {
-		rt.reqTimeout = DefaultRequestTimeout
-	}
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight == 0 {
-		maxInFlight = DefaultMaxInFlight
-	}
-	if maxInFlight > 0 {
-		rt.sem = make(chan struct{}, maxInFlight)
-	}
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("serve: router needs at least one shard")
 	}
 	groups := make([]*replicaGroup, 0, len(shards))
 	rt.groupBases = make([][]string, 0, len(shards))
 	for i, sh := range shards {
-		bases := sh.bases()
-		if len(bases) == 0 {
-			return nil, fmt.Errorf("serve: shard %d has no base URL", i)
+		if len(sh.Replicas) == 0 {
+			return nil, fmt.Errorf("serve: shard %d has no replica URLs", i)
 		}
-		seen := make(map[string]bool, len(bases))
-		uniq := make([]string, 0, len(bases))
-		reps := make([]*replica, 0, len(bases))
-		for _, b := range bases {
+		seen := make(map[string]bool, len(sh.Replicas))
+		uniq := make([]string, 0, len(sh.Replicas))
+		reps := make([]*replica, 0, len(sh.Replicas))
+		for _, b := range sh.Replicas {
 			if b == "" {
 				return nil, fmt.Errorf("serve: shard %d has an empty replica URL", i)
 			}
@@ -317,7 +276,7 @@ func (rt *Router) Shards() []RouterShard {
 		for j, rep := range g.replicas {
 			bases[j] = rep.base
 		}
-		out[i] = RouterShard{Base: bases[0], Replicas: bases, Range: g.rng}
+		out[i] = RouterShard{Replicas: bases, Range: g.rng}
 	}
 	return out
 }
@@ -326,13 +285,15 @@ func (rt *Router) Shards() []RouterShard {
 // traffic here; in-flight fan-outs finish.
 func (rt *Router) BeginDrain() { rt.draining.Store(true) }
 
-// checkNode validates u against the routed id space. The message
-// matches the facade's own out-of-range error byte for byte, so a
-// client sees the same 404 body through the router as it would asking
-// a full-set server directly.
-func checkRoutedNode(m *shardMap, u int) error {
-	if u < 0 || u >= m.total {
-		return fmt.Errorf("distsketch: node %d outside [0,%d): %w", u, m.total, distsketch.ErrNodeRange)
+// checkRoutedNodes validates ids against the routed id space, failing
+// on the first one outside it. The message matches the facade's own
+// out-of-range error byte for byte, so a client sees the same 404 body
+// through the router as it would asking a full-set server directly.
+func checkRoutedNodes(m *shardMap, ids ...int) error {
+	for _, u := range ids {
+		if u < 0 || u >= m.total {
+			return fmt.Errorf("distsketch: node %d outside [0,%d): %w", u, m.total, distsketch.ErrNodeRange)
+		}
 	}
 	return nil
 }
@@ -374,7 +335,7 @@ func DiscoverShards(ctx context.Context, specs []string, client *http.Client) ([
 		if err != nil {
 			return nil, fmt.Errorf("serve: discovering %s: %w", spec, err)
 		}
-		shards = append(shards, RouterShard{Base: group[0], Replicas: group, Range: rng})
+		shards = append(shards, RouterShard{Replicas: group, Range: rng})
 	}
 	return shards, nil
 }
@@ -407,8 +368,6 @@ func drainBody(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 	resp.Body.Close()
 }
-
-func drainClose(resp *http.Response) { drainBody(resp) }
 
 // RouterStatsReply is the router's GET /stats response.
 type RouterStatsReply struct {
@@ -462,26 +421,11 @@ type RouterReplicaInfo struct {
 	Ejections           int64  `json:"ejections"`
 }
 
-// Handler returns the router's route table wrapped in the same
-// middleware stack a shard server carries: panic recovery outermost,
-// then the admission gate and per-request deadline on query-serving
-// routes. Probes and /stats bypass the gate — an overloaded router
-// must still answer its health checks, or the load balancer would
-// eject the tier that is merely busy.
-func (rt *Router) Handler() http.Handler {
-	guard := func(h http.HandlerFunc) http.Handler {
-		return gateMiddleware(rt.sem, &rt.shed, deadlineMiddleware(rt.reqTimeout, h))
-	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /query", guard(rt.handleQuery))
-	mux.Handle("POST /query", guard(rt.handleBatch))
-	mux.Handle("GET /sketch/{u}", guard(rt.handleSketch))
-	mux.Handle("POST /sketch", guard(rt.handleSketchBatch))
-	mux.Handle("GET /stats", deadlineMiddleware(rt.reqTimeout, http.HandlerFunc(rt.handleStats)))
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	return recoverMiddleware(rt.logger, &rt.panics, mux)
-}
+// Handler returns the router's route table wrapped in the middleware
+// stack a shard server carries (see Server.Handler). Probes and /stats
+// bypass the gate — an overloaded router must still answer its health
+// checks, or the load balancer would eject the tier that is merely busy.
+func (rt *Router) Handler() http.Handler { return rt.withRecover(rt.routes()) }
 
 // classifyUpstream turns a non-200 upstream answer into the right kind
 // of error: 5xx (and 429) are replica faults — retried on the next
@@ -678,80 +622,48 @@ func (rt *Router) forwardQuery(ctx context.Context, g *replicaGroup, u, v int) (
 	})
 }
 
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+// The remote backend: every request routes against the one shard-map
+// snapshot it loads, so a concurrent refresh never splits a request
+// across two world views.
+
+// query resolves one pair: a same-shard pair is forwarded whole, a
+// cross-shard pair is estimated from the two fetched sketches.
+func (rt *Router) query(ctx context.Context, u, v int) (distsketch.Dist, error) {
 	if rt.queryHook != nil {
 		rt.queryHook()
 	}
 	m := rt.smap.Load()
-	u, err := queryParam(r, "u")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if err := checkRoutedNodes(m, u, v); err != nil {
+		return 0, err
 	}
-	v, err := queryParam(r, "v")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkRoutedNode(m, u); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if err := checkRoutedNode(m, v); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	var d distsketch.Dist
 	if gu, gv := m.groupOf(u), m.groupOf(v); gu == gv {
 		rt.sameShard.Add(1)
-		d, err = rt.forwardQuery(r.Context(), gu, u, v)
-	} else {
-		rt.crossShard.Add(1)
-		d, err = rt.estimateFetched(rt.fetchSketches(r.Context(), m, []int{u, v}), u, v)
+		return rt.forwardQuery(ctx, gu, u, v)
 	}
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.queries.Add(1)
-	writeJSON(w, http.StatusOK, result(u, v, d, nil))
+	rt.crossShard.Add(1)
+	return rt.estimateFetched(rt.fetchSketches(ctx, m, []int{u, v}), u, v)
 }
 
-// handleBatch fans a pair batch out across the shards: same-shard pairs
-// are grouped and forwarded as one POST /query sub-batch per shard, and
+// batch fans a pair batch out across the shards: same-shard pairs are
+// grouped and forwarded as one POST /query sub-batch per shard, and
 // every sketch the cross-shard pairs need is fetched with one
 // POST /sketch per shard, concurrently with the sub-batches, before the
 // router estimates those pairs itself. Per-pair failures — including a
-// whole replica set being down — land in that pair's Error field; the
-// batch as a whole still answers 200, so one dead shard degrades the
-// answers it owns instead of the whole request. The entire batch routes
-// against one map snapshot, so a concurrent refresh never splits a
-// request across two world views.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
+// whole replica set being down — land in that pair's Error field, so
+// one dead shard degrades the answers it owns instead of the whole
+// request.
+func (rt *Router) batch(ctx context.Context, pairs []QueryPair, sc *batchScratch) (int64, int, error) {
 	if rt.queryHook != nil {
 		rt.queryHook()
 	}
 	m := rt.smap.Load()
-	var req BatchRequest
-	if !decodeBatchBody(w, r, rt.maxBatch, &req) {
-		return
-	}
-	if len(req.Pairs) > rt.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d pairs exceed the %d-pair batch cap", len(req.Pairs), rt.maxBatch)
-		return
-	}
-	results := make([]QueryResult, len(req.Pairs))
-	dists := make([]distsketch.Dist, len(req.Pairs))
+	results, dists := sc.results, sc.dists
 	// Group same-shard pairs per replica group; collect cross-shard
 	// pairs.
 	groups := make(map[*replicaGroup][]int)
 	var cross []int
-	for i, p := range req.Pairs {
-		if err := checkRoutedNode(m, p.U); err != nil {
-			results[i] = resultInto(p.U, p.V, 0, err, &dists[i])
-			continue
-		}
-		if err := checkRoutedNode(m, p.V); err != nil {
+	for i, p := range pairs {
+		if err := checkRoutedNodes(m, p.U, p.V); err != nil {
 			results[i] = resultInto(p.U, p.V, 0, err, &dists[i])
 			continue
 		}
@@ -767,7 +679,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g *replicaGroup, idxs []int) {
 			defer wg.Done()
-			rt.forwardSubBatch(r.Context(), g, req.Pairs, idxs, results, dists)
+			rt.forwardSubBatch(ctx, g, pairs, idxs, results, dists)
 		}(g, idxs)
 	}
 	if len(cross) > 0 {
@@ -776,12 +688,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			nodes := make([]int, 0, 2*len(cross))
 			for _, i := range cross {
-				nodes = append(nodes, req.Pairs[i].U, req.Pairs[i].V)
+				nodes = append(nodes, pairs[i].U, pairs[i].V)
 			}
-			got := rt.fetchSketches(r.Context(), m, nodes)
+			got := rt.fetchSketches(ctx, m, nodes)
 			rt.crossShard.Add(int64(len(cross)))
 			for _, i := range cross {
-				p := req.Pairs[i]
+				p := pairs[i]
 				d, err := rt.estimateFetched(got, p.U, p.V)
 				results[i] = resultInto(p.U, p.V, d, err, &dists[i])
 			}
@@ -794,8 +706,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			served++
 		}
 	}
-	rt.queries.Add(served)
-	writeJSON(w, http.StatusOK, BatchReply{Results: results})
+	return served, len(pairs), nil
 }
 
 // forwardSubBatch posts the pairs at idxs (all owned by g's range) as
@@ -851,61 +762,54 @@ func (rt *Router) postBatch(ctx context.Context, g *replicaGroup, sub BatchReque
 	})
 }
 
-// handleSketch proxies a wire-sketch request to the owning shard, so a
-// peer can fetch any node's sketch through the router with the same URL
-// shape it would use against a full server.
-func (rt *Router) handleSketch(w http.ResponseWriter, r *http.Request) {
+// sketch proxies a wire-sketch request to the owning shard, so a peer
+// can fetch any node's sketch through the router with the same URL
+// shape it would use against a full server. The kind and word headers
+// come from parsing the fetched blob; a blob that does not parse is the
+// upstream's fault.
+func (rt *Router) sketch(ctx context.Context, u int) ([]byte, distsketch.Kind, int, error) {
 	m := rt.smap.Load()
-	u, err := strconv.Atoi(r.PathValue("u"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "node id %q is not an integer", r.PathValue("u"))
-		return
+	if err := checkRoutedNodes(m, u); err != nil {
+		return nil, "", 0, err
 	}
-	if err := checkRoutedNode(m, u); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	got := rt.fetchSketches(r.Context(), m, []int{u})[u]
+	got := rt.fetchSketches(ctx, m, []int{u})[u]
 	if got.err != nil {
-		writeError(w, http.StatusBadGateway, "%v", got.err)
-		return
+		return nil, "", 0, got.err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(got.blob)
+	sk, err := distsketch.ParseSketch(got.blob)
+	if err != nil {
+		rt.upstreamErrors.Add(1)
+		return nil, "", 0, fmt.Errorf("parsing the fetched sketch of node %d: %v", u, err)
+	}
+	return got.blob, sk.Kind(), sk.Words(), nil
 }
 
-// handleSketchBatch serves POST /sketch exactly as a full server would:
-// every id is validated first (the first one outside the routed id
-// space answers the server's 404 body), then each owning shard is asked
-// once and the blobs are framed back in request order. A shard whose
-// replicas all fail fails the whole request with 502 — the reply has no
+// sketches serves POST /sketch exactly as a full server would: every
+// id is validated first (the first one outside the routed id space
+// answers the server's 404 body), then each owning shard is asked once
+// and the blobs are framed back in request order. A shard whose
+// replicas all fail fails the whole request — the reply has no
 // per-node error slot.
-func (rt *Router) handleSketchBatch(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) sketches(ctx context.Context, nodes []int, buf *bytes.Buffer) error {
 	m := rt.smap.Load()
-	nodes, ok := decodeSketchRequest(w, r, rt.maxBatch)
-	if !ok {
-		return
+	if err := checkRoutedNodes(m, nodes...); err != nil {
+		return err
 	}
-	for _, u := range nodes {
-		if err := checkRoutedNode(m, u); err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-	}
-	got := rt.fetchSketches(r.Context(), m, nodes)
-	var frames bytes.Buffer
+	got := rt.fetchSketches(ctx, m, nodes)
 	for _, u := range nodes {
 		if err := got[u].err; err != nil {
-			writeError(w, http.StatusBadGateway, "%v", err)
-			return
+			return err
 		}
-		writeSketchFrame(&frames, got[u].blob)
+		writeSketchFrame(buf, got[u].blob)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(frames.Bytes())
+	return nil
 }
 
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+// shardHint is nil: the router answers for the whole id space, so it
+// never reports ErrShardRange.
+func (rt *Router) shardHint() *ShardHint { return nil }
+
+func (rt *Router) stats() any {
 	m := rt.smap.Load()
 	reply := RouterStatsReply{
 		TotalNodes:         m.total,
@@ -940,18 +844,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		reply.Shards = append(reply.Shards, info)
 	}
-	writeJSON(w, http.StatusOK, reply)
+	return reply
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthReply{Status: "ok"})
-}
-
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	writeJSON(w, http.StatusOK, ReadyReply{Ready: true, Nodes: rt.TotalNodes()})
+func (rt *Router) ready() (ReadyReply, error) {
+	return ReadyReply{Ready: true, Nodes: rt.TotalNodes()}, nil
 }

@@ -824,8 +824,8 @@ func TestRouterStale421TriggersRefresh(t *testing.T) {
 	_, bases, ranges := buildShardedFixture(t, 2)
 	// Deliberately wrong: each base is configured with the other's range.
 	shards := []RouterShard{
-		{Base: bases[0], Range: ranges[1]},
-		{Base: bases[1], Range: ranges[0]},
+		{Replicas: []string{bases[0]}, Range: ranges[1]},
+		{Replicas: []string{bases[1]}, Range: ranges[0]},
 	}
 	_, ts := newFaultRouter(t, shards, RouterOptions{HedgeDelay: -1})
 
@@ -864,6 +864,53 @@ func TestRouterStale421TriggersRefresh(t *testing.T) {
 	}
 	if stats.StaleMapHits == 0 {
 		t.Error("stale_map_hits did not move on an upstream 421")
+	}
+	if stats.MapRefreshes == 0 {
+		t.Error("map_refreshes did not move after the 421")
+	}
+}
+
+// TestRouterStale421BatchTriggersRefresh is the batch-only form of
+// TestRouterStale421TriggersRefresh: no prober runs and every pair
+// stays inside one shard, so only the misdirected sub-batches can tell
+// the router its map is stale. A shard must fail them with 421 rather
+// than with per-pair errors inside a 200, and the router must heal.
+func TestRouterStale421BatchTriggersRefresh(t *testing.T) {
+	full, bases, ranges := buildShardedFixture(t, 2)
+	shards := []RouterShard{
+		{Replicas: []string{bases[0]}, Range: ranges[1]},
+		{Replicas: []string{bases[1]}, Range: ranges[0]},
+	}
+	_, ts := newFaultRouter(t, shards, RouterOptions{HedgeDelay: -1})
+	body := fmt.Sprintf(`{"pairs":[{"u":%d,"v":%d},{"u":%d,"v":%d}]}`,
+		ranges[0].Lo, ranges[0].Lo+1, ranges[1].Lo, ranges[1].Hi-1)
+	baseline := batchBaseline(t, full, body)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for batches := 1; ; batches++ {
+		var reply BatchReply
+		if code := postJSON(t, ts.URL+"/query", body, &reply); code != http.StatusOK {
+			t.Fatalf("stale-map batch %d: status %d", batches, code)
+		}
+		healed := true
+		for _, res := range reply.Results {
+			healed = healed && res.Error == ""
+		}
+		if healed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router never healed from the stale map after %d batches: %+v", batches, reply.Results)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	requireBatchMatches(t, ts.URL, body, baseline)
+	var stats RouterStatsReply
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("router stats: status %d", code)
+	}
+	if stats.StaleMapHits == 0 {
+		t.Error("stale_map_hits did not move on a misdirected sub-batch")
 	}
 	if stats.MapRefreshes == 0 {
 		t.Error("map_refreshes did not move after the 421")

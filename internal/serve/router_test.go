@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -118,7 +119,7 @@ func newRouterServer(t *testing.T, bases []string, ranges []distsketch.ShardRang
 	t.Helper()
 	shards := make([]RouterShard, len(bases))
 	for i := range bases {
-		shards[i] = RouterShard{Base: bases[i], Range: ranges[i]}
+		shards[i] = RouterShard{Replicas: []string{bases[i]}, Range: ranges[i]}
 	}
 	var transport http.RoundTripper
 	if ct != nil {
@@ -181,6 +182,30 @@ func TestServingEquivalence(t *testing.T) {
 			if routed := fetch(routerSrv.URL, u, v); routed != heap {
 				t.Fatalf("(%d,%d): routed %s != heap %s", u, v, routed, heap)
 			}
+		}
+	}
+	// GET /sketch/{u}: status, body and the kind and size headers, on
+	// every shard and on both sides of the id space.
+	sketchOf := func(base string, u int) string {
+		resp, err := http.Get(fmt.Sprintf("%s/sketch/%d", base, u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d kind=%q words=%q body=%x", resp.StatusCode,
+			resp.Header.Get("X-Sketch-Kind"), resp.Header.Get("X-Sketch-Words"), body)
+	}
+	for _, u := range []int{-1, 0, 13, 26, 51, 76, full.N() - 1, full.N()} {
+		heap := sketchOf(heapSrv.URL, u)
+		if mm := sketchOf(mmapSrv.URL, u); mm != heap {
+			t.Fatalf("GET /sketch/%d: mmap %s != heap %s", u, mm, heap)
+		}
+		if routed := sketchOf(routerSrv.URL, u); routed != heap {
+			t.Fatalf("GET /sketch/%d: routed %s != heap %s", u, routed, heap)
 		}
 	}
 }
@@ -433,6 +458,27 @@ func TestShardServer421(t *testing.T) {
 	if reply.Shard == nil || reply.Shard.Lo != ranges[1].Lo || reply.Shard.Hi != ranges[1].Hi || reply.Shard.Total != full.N() {
 		t.Fatalf("POST /sketch 421 shard hint: %+v, want [%d,%d) of %d", reply.Shard, ranges[1].Lo, ranges[1].Hi, full.N())
 	}
+	// So does POST /query when any pair names an id another shard owns,
+	// so a router with a stale map sees the 421 under batch traffic too.
+	code, raw = postRaw(t, bases[1]+"/query", fmt.Sprintf(`{"pairs":[{"u":%d,"v":%d},{"u":%d,"v":%d}]}`,
+		ranges[1].Lo, ranges[1].Lo+1, ranges[1].Lo, ranges[0].Lo))
+	if code != http.StatusMisdirectedRequest {
+		t.Fatalf("POST /query with an other-shard id: status %d (%s), want 421", code, raw)
+	}
+	reply.Shard = nil
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Shard == nil || reply.Shard.Lo != ranges[1].Lo || reply.Shard.Hi != ranges[1].Hi || reply.Shard.Total != full.N() {
+		t.Fatalf("POST /query 421 shard hint: %+v, want [%d,%d) of %d", reply.Shard, ranges[1].Lo, ranges[1].Hi, full.N())
+	}
+	// An id outside the whole id space keeps its per-pair error.
+	var batch BatchReply
+	code = postJSON(t, bases[1]+"/query", fmt.Sprintf(`{"pairs":[{"u":%d,"v":%d},{"u":%d,"v":%d}]}`,
+		ranges[1].Lo, ranges[1].Lo+1, full.N()+5, ranges[1].Lo), &batch)
+	if code != http.StatusOK || len(batch.Results) != 2 || batch.Results[0].Error != "" || batch.Results[1].Error == "" {
+		t.Fatalf("POST /query with a nonexistent id: status %d results %+v, want 200 with one per-pair error", code, batch.Results)
+	}
 	// A nonexistent id is still a plain 404 — not redirectable.
 	if code := getJSON(t, fmt.Sprintf("%s/query?u=%d&v=%d", bases[1], full.N()+5, ranges[1].Lo), nil); code != http.StatusNotFound {
 		t.Fatalf("nonexistent id on a shard: status %d, want 404", code)
@@ -489,7 +535,7 @@ func TestNewRouterValidation(t *testing.T) {
 	mk := func(ranges ...distsketch.ShardRange) []RouterShard {
 		out := make([]RouterShard, len(ranges))
 		for i, r := range ranges {
-			out[i] = RouterShard{Base: fmt.Sprintf("http://shard%d", i), Range: r}
+			out[i] = RouterShard{Replicas: []string{fmt.Sprintf("http://shard%d", i)}, Range: r}
 		}
 		return out
 	}

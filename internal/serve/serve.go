@@ -33,16 +33,18 @@
 // too, so operators can watch the shed counters while the gate is
 // rejecting work.
 //
+// Server and Router share one frontend (frontend.go) over a backend:
+// a local sketch set for Server, the shard map for Router.
+//
 // Concurrency model: the current (set, graph) pair lives behind one
 // atomic.Pointer. Queries load the pointer and read immutable decoded
-// sketches — no locks on the hot path. An update clones the set
-// (O(n) pointer copy; the decoded sketches themselves are shared and
-// never mutated), repairs the clone off to the side, and swaps the
-// pointer only on success, so a query observes either the pre-repair or
-// the post-repair set, never a half-repaired one. Updates serialize
-// among themselves on a mutex. Graceful shutdown: call BeginDrain (flips
-// /readyz to 503), then http.Server.Shutdown — in-flight queries and the
-// in-flight update swap complete; new connections are refused.
+// sketches — no locks on the hot path. An update repairs a clone of the
+// set off to the side and swaps the pointer only on success, so a query
+// observes either the pre-repair or the post-repair set, never a
+// half-repaired one. Updates serialize among themselves on a mutex.
+// Graceful shutdown: call BeginDrain (flips /readyz to 503), then
+// http.Server.Shutdown — in-flight queries and the in-flight update
+// swap complete; new connections are refused.
 package serve
 
 import (
@@ -114,27 +116,18 @@ type state struct {
 // and mount Handler on an http.Server. All methods are safe for
 // concurrent use.
 type Server struct {
+	frontend
 	cur          atomic.Pointer[state]
 	updateMu     sync.Mutex // serializes /update-edge clone-repair-swap cycles
 	saveMu       sync.Mutex // serializes /save snapshots (concurrent saves waste duplicate serialization)
-	maxBatch     int
-	reqTimeout   time.Duration // 0 = disabled
-	sem          chan struct{} // admission gate; nil = disabled
 	snapshotPath string
 	probeDecode  bool
-	logger       *log.Logger
-	draining     atomic.Bool
 
-	queries         atomic.Int64 // estimates served (single + batched)
 	updates         atomic.Int64 // repair batches applied
 	updateEdges     atomic.Int64 // edge changes applied across all batches
 	rebuildRejected atomic.Int64 // batches refused with rebuild_required
 	labelsReplaced  atomic.Int64 // labels replaced by applied swaps
 	labelsShared    atomic.Int64 // labels shared across applied swaps
-	shed            atomic.Int64 // requests rejected by the admission gate
-	panics          atomic.Int64 // handler panics recovered
-	deadlines       atomic.Int64 // requests cut off by the per-request deadline
-	decodeFailures  atomic.Int64 // corrupt lazily loaded labels hit by traffic
 	snapshots       atomic.Int64 // POST /save snapshots written
 
 	// queryHook, when non-nil, runs before each batched pair executes —
@@ -160,31 +153,8 @@ func New(set *distsketch.SketchSet, opts Options) (*Server, error) {
 	if opts.Graph != nil && opts.Graph.N() != set.N() {
 		return nil, fmt.Errorf("serve: graph has %d nodes, sketch set has %d", opts.Graph.N(), set.N())
 	}
-	s := &Server{
-		maxBatch:     opts.MaxBatch,
-		reqTimeout:   opts.RequestTimeout,
-		snapshotPath: opts.SnapshotPath,
-		probeDecode:  opts.ProbeDecode,
-		logger:       opts.Logger,
-	}
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatch
-	}
-	if s.reqTimeout == 0 {
-		s.reqTimeout = DefaultRequestTimeout
-	} else if s.reqTimeout < 0 {
-		s.reqTimeout = 0
-	}
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight == 0 {
-		maxInFlight = DefaultMaxInFlight
-	}
-	if maxInFlight > 0 {
-		s.sem = make(chan struct{}, maxInFlight)
-	}
-	if s.logger == nil {
-		s.logger = log.Default()
-	}
+	s := &Server{snapshotPath: opts.SnapshotPath, probeDecode: opts.ProbeDecode}
+	s.setup(s, http.StatusInternalServerError, opts.MaxBatch, opts.MaxInFlight, opts.RequestTimeout, opts.Logger)
 	s.cur.Store(&state{set: set, g: opts.Graph})
 	return s, nil
 }
@@ -240,18 +210,8 @@ func (s *Server) Counters() Counters {
 // (panic recovery outermost, then per-route admission gate and request
 // deadline). Method mismatches answer 405.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	guard := func(h http.HandlerFunc) http.Handler { return s.withGate(s.withDeadline(h)) }
-	mux.Handle("GET /query", guard(s.handleQuery))
-	mux.Handle("POST /query", guard(s.handleBatch))
-	mux.Handle("GET /sketch/{u}", guard(s.handleSketch))
-	mux.Handle("POST /sketch", guard(s.handleSketchBatch))
-	mux.Handle("POST /update-edge", guard(s.handleUpdateEdges))
-	mux.Handle("POST /save", guard(s.handleSave))
-	// Observability and probes bypass the gate: they must answer exactly
-	// when the server is too busy (or too broken) to do real work.
-	mux.Handle("GET /stats", s.withDeadline(http.HandlerFunc(s.handleStats)))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux := s.routes()
+	mux.Handle("POST /update-edge", s.guard(s.handleUpdateEdges))
+	mux.Handle("POST /save", s.guard(s.handleSave))
 	return s.withRecover(mux)
 }

@@ -152,8 +152,9 @@ func builtStore[L sketch.Label](kind Kind, labels []L) labelStore {
 	return filledStore(len(labels), func(i int) *Sketch { return &Sketch{kind: kind, label: labels[i]} })
 }
 
-// get returns slot i's sketch, decoding its stored blob on first touch.
-func (st *labelStore) get(i int) (*Sketch, error) {
+// get returns slot i's sketch, decoding its stored blob on first touch;
+// node is the slot's global id, which a decode failure names.
+func (st *labelStore) get(i, node int) (*Sketch, error) {
 	if sk := st.slots[i].Load(); sk != nil {
 		return sk, nil
 	}
@@ -165,13 +166,13 @@ func (st *labelStore) get(i int) (*Sketch, error) {
 		// owner checks but whose blob body is structurally invalid. The
 		// typed error carries the node and the blob's envelope offset so a
 		// server can answer 500-with-context and count the failure.
-		return nil, &ErrCorruptLabel{Node: i, Offset: st.offsets[i], Err: err}
+		return nil, &ErrCorruptLabel{Node: node, Offset: st.offsets[i], Err: err}
 	}
 	// The directory's word count was trusted for size statistics before
 	// this label was ever decoded; reconcile it now so a crafted
 	// envelope cannot keep lying once the label is actually served.
 	if w := sk.Words(); w != st.words[i] {
-		return nil, &ErrCorruptLabel{Node: i, Offset: st.offsets[i],
+		return nil, &ErrCorruptLabel{Node: node, Offset: st.offsets[i],
 			Err: fmt.Errorf("directory claims %d words, label has %d", st.words[i], w)}
 	}
 	if st.slots[i].CompareAndSwap(nil, sk) {
@@ -226,7 +227,7 @@ func (s *SketchSet) sketchAt(u int) (*Sketch, error) {
 	if s.closed {
 		return nil, ErrSetClosed
 	}
-	return s.labels.get(u - s.shardLo)
+	return s.labels.get(u-s.shardLo, u)
 }
 
 // Sketch returns node u's decoded sketch (decoding it on first touch
@@ -424,7 +425,7 @@ func (s *SketchSet) Materialize() error {
 	}
 	old := s.labels
 	for i := range old.slots {
-		if _, err := old.get(i); err != nil {
+		if _, err := old.get(i, s.shardLo+i); err != nil {
 			return err
 		}
 	}

@@ -175,6 +175,35 @@ func TestShardRangeErrors(t *testing.T) {
 	}
 }
 
+// TestShardCorruptLabelNamesGlobalNode: a corrupt label of a shard that
+// does not start at node 0 is reported under its global id, not its
+// shard-local slot, by the query path and by Materialize alike.
+func TestShardCorruptLabelNamesGlobalNode(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := goldenEnvelopeSet().WriteShard(&buf, ShardRange{Lo: 1, Hi: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// The shard holds node 1 alone; byte 35 is its directory word count
+	// (payload from byte 8: kind, n, lo, total, cost, phases, net, then
+	// the directory's blob length and words). Claim 7 words, not 2.
+	bad := bytes.Clone(buf.Bytes())
+	if bad[35] != 2 {
+		t.Fatalf("byte 35 = %d, want node 1's word count 2: the shard layout moved", bad[35])
+	}
+	bad[35] = 7
+	shard, err := ReadSketchSet(bytes.NewReader(reCRC(t, bad)))
+	if err != nil {
+		t.Fatalf("crafted shard rejected at load: %v", err)
+	}
+	var cl *ErrCorruptLabel
+	if _, err := shard.QueryChecked(1, 1); !errors.As(err, &cl) || cl.Node != 1 {
+		t.Fatalf("QueryChecked(1, 1) = %v, want *ErrCorruptLabel naming node 1", err)
+	}
+	if err := shard.Materialize(); !errors.As(err, &cl) || cl.Node != 1 {
+		t.Fatalf("Materialize = %v, want *ErrCorruptLabel naming node 1", err)
+	}
+}
+
 // TestShardReadOnly pins the repair contract: shards reject repairs,
 // can only serialize as version 3, and cannot be re-split.
 func TestShardReadOnly(t *testing.T) {
