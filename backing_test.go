@@ -268,15 +268,7 @@ func TestCloneRepairSwapOnMmap(t *testing.T) {
 	b := opened.backing
 	edges := g.Edges()
 	e := edges[len(edges)/2]
-	nb := NewGraphBuilder(g.N())
-	for _, ge := range edges {
-		w := ge.Weight
-		if ge.U == e.U && ge.V == e.V {
-			w = 1 // a decrease: always repairable
-		}
-		nb.AddEdge(ge.U, ge.V, w)
-	}
-	next, err := nb.Freeze()
+	next, err := g.Reweighted([]Edge{{U: e.U, V: e.V, Weight: 1}}) // a decrease: always repairable
 	if err != nil {
 		t.Fatal(err)
 	}

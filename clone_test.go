@@ -36,15 +36,7 @@ func TestCloneIsolatesOriginalRepair(t *testing.T) {
 		}
 	}
 
-	nb := NewGraphBuilder(g.N())
-	for _, e := range g.Edges() {
-		w := e.Weight
-		if e.U == edge.U && e.V == edge.V {
-			w = 1
-		}
-		nb.AddEdge(e.U, e.V, w)
-	}
-	g2, err := nb.Freeze()
+	g2, err := g.Reweighted([]Edge{{U: edge.U, V: edge.V, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,21 +27,13 @@ import (
 // the change records UpdateEdges needs (PrevWeight certifies the old
 // weight, which lets even net-restricted kinds verify the repair).
 func halve(g *distsketch.Graph, batch []distsketch.Edge) (*distsketch.Graph, []distsketch.EdgeChange, error) {
-	repl := map[[2]int]distsketch.Dist{}
+	edits := make([]distsketch.Edge, 0, len(batch))
 	changes := make([]distsketch.EdgeChange, 0, len(batch))
 	for _, e := range batch {
-		repl[[2]int{e.U, e.V}] = e.Weight / 2
+		edits = append(edits, distsketch.Edge{U: e.U, V: e.V, Weight: e.Weight / 2})
 		changes = append(changes, distsketch.EdgeChange{U: e.U, V: e.V, PrevWeight: e.Weight})
 	}
-	nb := distsketch.NewGraphBuilder(g.N())
-	for _, x := range g.Edges() {
-		w := x.Weight
-		if nw, ok := repl[[2]int{x.U, x.V}]; ok {
-			w = nw
-		}
-		nb.AddEdge(x.U, x.V, w)
-	}
-	ng, err := nb.Freeze()
+	ng, err := g.Reweighted(edits)
 	if err != nil {
 		return nil, nil, err
 	}

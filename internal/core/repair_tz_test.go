@@ -19,15 +19,11 @@ import (
 // (min, max) endpoint pairs.
 func reweigh(t *testing.T, g *graph.Graph, repl map[[2]int]graph.Dist) *graph.Graph {
 	t.Helper()
-	nb := graph.NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		w := e.Weight
-		if nw, ok := repl[[2]int{e.U, e.V}]; ok {
-			w = nw
-		}
-		nb.AddEdge(e.U, e.V, w)
+	edits := make([]graph.Edge, 0, len(repl))
+	for key, w := range repl {
+		edits = append(edits, graph.Edge{U: key[0], V: key[1], Weight: w})
 	}
-	ng, err := nb.Freeze()
+	ng, err := g.Reweighted(edits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,10 @@ import (
 // decreaseEdge returns a copy of g with edge {a,b} reweighted.
 func decreaseEdge(t *testing.T, g *graph.Graph, a, b int, w graph.Dist) *graph.Graph {
 	t.Helper()
-	nb := graph.NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		if (e.U == a && e.V == b) || (e.U == b && e.V == a) {
-			if w > e.Weight {
-				t.Fatalf("edge (%d,%d): %d is not a decrease from %d", a, b, w, e.Weight)
-			}
-			nb.AddEdge(e.U, e.V, w)
-			continue
-		}
-		nb.AddEdge(e.U, e.V, e.Weight)
+	if old, ok := g.EdgeWeight(a, b); ok && w > old {
+		t.Fatalf("edge (%d,%d): %d is not a decrease from %d", a, b, w, old)
 	}
-	ng, err := nb.Freeze()
+	ng, err := g.Reweighted([]graph.Edge{{U: a, V: b, Weight: w}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,8 @@ func verifyHierarchyExact(g *graph.Graph, levels []int, labels []*sketch.TZLabel
 		return fmt.Errorf("core: %d labels for n=%d", len(labels), n)
 	}
 
-	// Pass 1: validity, and support bookkeeping allocation.
-	supported := make([][]bool, n)
+	// Validity first, at every node, so the walk below may index by any
+	// neighbour's entries.
 	for u, lab := range labels {
 		if lab == nil {
 			return fmt.Errorf("core: node %d has no label", u)
@@ -69,68 +69,73 @@ func verifyHierarchyExact(g *graph.Graph, levels []int, labels []*sketch.TZLabel
 				return fmt.Errorf("core: node %d keeps member %d at distance %d ≥ threshold %d (stale membership)", u, it.Node, it.Dist, pivotDist[it.Level+1][u])
 			}
 		}
-		supported[u] = make([]bool, len(lab.Bunch))
 	}
 
-	// Pass 2: closure across every arc, support detection. Both arc
-	// directions appear in the adjacency lists, so each unordered edge is
-	// relaxed both ways.
+	// Closure across every arc and support, node by node. pos[w] is 1 +
+	// w's index in B(u) while u is walked (0 when absent), so each
+	// neighbour entry finds u's in O(1); thresh holds T_u for every
+	// level. Both arc directions appear in the adjacency lists, so each
+	// unordered edge is relaxed both ways.
+	pos := make([]int32, n)
+	thresh := make([]graph.Dist, len(pivotDist))
+	var supported []bool
 	for u := 0; u < n; u++ {
 		bu := labels[u].Bunch
+		for i, it := range bu {
+			pos[it.Node] = int32(i + 1)
+		}
+		for l := range thresh {
+			thresh[l] = pivotDist[l][u]
+		}
+		supported = append(supported[:0], make([]bool, len(bu))...)
 		for _, a := range g.Adj(u) {
 			v, wt := a.To, a.Weight
 
 			// The neighbor itself as member w = v (ℓ_v(v) = 0 implicit).
 			if lv := levels[v]; lv >= 0 {
-				idx, found := bunchIndex(bu, v)
-				if !found {
-					if wt < pivotDist[lv+1][u] {
-						return fmt.Errorf("core: node %d is missing hierarchy neighbor %d (reachable at %d < threshold %d)", u, v, wt, pivotDist[lv+1][u])
+				if p := pos[v]; p == 0 {
+					if wt < thresh[lv+1] {
+						return fmt.Errorf("core: node %d is missing hierarchy neighbor %d (reachable at %d < threshold %d)", u, v, wt, thresh[lv+1])
 					}
 				} else {
-					if bu[idx].Dist > wt {
-						return fmt.Errorf("core: node %d records member %d at %d but the direct edge costs %d", u, v, bu[idx].Dist, wt)
-					}
-					if bu[idx].Dist == wt {
-						supported[u][idx] = true
+					if d := bu[p-1].Dist; d > wt {
+						return fmt.Errorf("core: node %d records member %d at %d but the direct edge costs %d", u, v, d, wt)
+					} else if d == wt {
+						supported[p-1] = true
 					}
 				}
 			}
 
-			// Members seen through v's bunch, by sorted two-pointer merge.
-			i := 0
+			// Members seen through v's bunch.
 			for _, e := range labels[v].Bunch {
 				w := e.Node
 				if w == u || w == v {
 					continue
 				}
 				through := graph.AddDist(e.Dist, wt)
-				thresh := pivotDist[e.Level+1][u]
-				for i < len(bu) && bu[i].Node < w {
-					i++
-				}
-				if i < len(bu) && bu[i].Node == w {
-					if bu[i].Dist > through && through < thresh {
-						return fmt.Errorf("core: node %d records member %d at %d but neighbor %d offers %d", u, w, bu[i].Dist, v, through)
+				if p := pos[w]; p != 0 {
+					d := bu[p-1].Dist
+					if d > through && through < thresh[e.Level+1] {
+						return fmt.Errorf("core: node %d records member %d at %d but neighbor %d offers %d", u, w, d, v, through)
 					}
-					if bu[i].Dist == through {
-						supported[u][i] = true
+					if d == through {
+						supported[p-1] = true
 					}
-				} else if through < thresh {
-					return fmt.Errorf("core: node %d is missing member %d (reachable through %d at %d < threshold %d)", u, w, v, through, thresh)
+				} else if through < thresh[e.Level+1] {
+					return fmt.Errorf("core: node %d is missing member %d (reachable through %d at %d < threshold %d)", u, w, v, through, thresh[e.Level+1])
 				}
 			}
 		}
-	}
 
-	// Pass 3: every recorded entry must be supported, or it is a stale
-	// value no relaxation on the new graph reproduces.
-	for u := 0; u < n; u++ {
-		for idx, ok := range supported[u] {
+		// Every recorded entry must be supported, or it is a stale value
+		// no relaxation on the new graph reproduces.
+		for i, ok := range supported {
 			if !ok {
-				it := labels[u].Bunch[idx]
-				return fmt.Errorf("core: node %d's entry for member %d (distance %d) has no supporting neighbor", u, it.Node, it.Dist)
+				return fmt.Errorf("core: node %d's entry for member %d (distance %d) has no supporting neighbor", u, bu[i].Node, bu[i].Dist)
 			}
+		}
+		for _, it := range bu {
+			pos[it.Node] = 0
 		}
 	}
 	return nil

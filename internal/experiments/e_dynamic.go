@@ -43,7 +43,11 @@ func E14(cfg Config) *Table {
 			}},
 		} {
 			e, w := change.pick()
-			ng := reweight(g, e, w)
+			ng, err := g.Reweighted([]graph.Edge{{U: e.U, V: e.V, Weight: w}})
+			if err != nil {
+				t.Failf("%s %s reweight: %v", f, change.name, err)
+				continue
+			}
 			// UpdateLandmark treats prev as read-only, so the one base
 			// build is shared across both change scenarios.
 			upd, err := core.UpdateLandmark(ng, prev, []core.EdgeChange{{U: e.U, V: e.V}}, congestCfg())
@@ -80,18 +84,6 @@ func E14(cfg Config) *Table {
 		}
 	}
 	return t
-}
-
-func reweight(g *graph.Graph, e graph.Edge, w graph.Dist) *graph.Graph {
-	b := graph.NewBuilder(g.N())
-	for _, x := range g.Edges() {
-		if x.U == e.U && x.V == e.V {
-			b.AddEdge(x.U, x.V, w)
-		} else {
-			b.AddEdge(x.U, x.V, x.Weight)
-		}
-	}
-	return b.MustFreeze()
 }
 
 func maxI64(a, b int64) int64 {

@@ -14,9 +14,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -53,14 +55,21 @@ type Arc struct {
 	Weight Dist
 }
 
+// MaxNodes is the largest node count a Graph may have. Freeze and
+// ReadEdgeList refuse a larger (or negative) count with an error instead
+// of attempting the allocation; 1<<24 is far above every graph the
+// repository generates or its tools are run on.
+const MaxNodes = 1 << 24
+
 // Graph is an immutable weighted undirected graph with dense node IDs
 // 0..N()-1. Build one with a Builder or a generator; after Freeze the
 // adjacency structure never changes, so it is safe for concurrent readers
 // (the CONGEST simulator reads it from many goroutines).
 type Graph struct {
 	n     int
-	adj   [][]Arc // adj[u] sorted by To
-	edges []Edge  // canonical U<V, sorted
+	off   []int  // u's arcs are arcs[off[u]:off[u+1]]; shared by Reweighted copies
+	arcs  []Arc  // every adjacency list, each sorted by To
+	edges []Edge // canonical U<V, sorted
 }
 
 // N returns the number of nodes.
@@ -74,17 +83,17 @@ func (g *Graph) M() int { return len(g.edges) }
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // Adj returns the adjacency list of u, sorted by neighbor ID. Callers must
-// not modify the returned slice.
-func (g *Graph) Adj(u int) []Arc { return g.adj[u] }
+// not modify the returned slice; its capacity ends at u's last arc.
+func (g *Graph) Adj(u int) []Arc { return g.arcs[g.off[u]:g.off[u+1]:g.off[u+1]] }
 
 // Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return g.off[u+1] - g.off[u] }
 
 // MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
 	max := 0
 	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > max {
+		if d := g.Degree(u); d > max {
 			max = d
 		}
 	}
@@ -102,12 +111,47 @@ func (g *Graph) EdgeWeight(u, v int) (Dist, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0, false
 	}
-	a := g.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
-	if i < len(a) && a[i].To == v {
-		return a[i].Weight, true
+	if i := g.arc(u, v); i >= 0 {
+		return g.arcs[i].Weight, true
 	}
 	return 0, false
+}
+
+// arc returns the index in g.arcs of u's arc to v, or -1 if there is none.
+func (g *Graph) arc(u, v int) int {
+	a := g.Adj(u)
+	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
+	if i < len(a) && a[i].To == v {
+		return g.off[u] + i
+	}
+	return -1
+}
+
+// Reweighted returns a copy of g in which every change's edge {U,V}
+// carries the change's weight; a later change to the same edge wins. Each
+// change must name an existing edge with a weight in [0, Inf), as AddEdge
+// requires, or Reweighted returns an error and no graph. g is never
+// written: the copy clones the arc and edge arrays once, shares the
+// offsets, and patches both directions of each change by binary search.
+func (g *Graph) Reweighted(changes []Edge) (*Graph, error) {
+	for _, c := range changes {
+		if err := checkEdge(g.n, c.U, c.V, c.Weight); err != nil {
+			return nil, err
+		}
+		if g.arc(c.U, c.V) < 0 {
+			return nil, fmt.Errorf("graph: edge (%d,%d) not in graph", c.U, c.V)
+		}
+	}
+	ng := &Graph{n: g.n, off: g.off, arcs: slices.Clone(g.arcs), edges: slices.Clone(g.edges)}
+	for _, c := range changes {
+		u, v := min(c.U, c.V), max(c.U, c.V)
+		ng.arcs[ng.arc(u, v)].Weight = c.Weight
+		ng.arcs[ng.arc(v, u)].Weight = c.Weight
+		e := ng.edges
+		i := sort.Search(len(e), func(i int) bool { return e[i].U > u || e[i].U == u && e[i].V >= v })
+		e[i].Weight = c.Weight
+	}
+	return ng, nil
 }
 
 // TotalWeight returns the sum of all edge weights.
@@ -129,13 +173,14 @@ func (g *Graph) String() string {
 // shortest paths); self-loops are rejected.
 type Builder struct {
 	n     int
-	w     map[[2]int]Dist
+	edges []Edge // as added, U < V, duplicates included
 	errlt error
 }
 
-// NewBuilder creates a builder for a graph on n nodes.
+// NewBuilder creates a builder for a graph on n nodes. Freeze rejects
+// n < 0 and n > MaxNodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, w: make(map[[2]int]Dist)}
+	return &Builder{n: n}
 }
 
 // AddEdge records the undirected edge {u,v} with the given weight. If the
@@ -145,60 +190,84 @@ func (b *Builder) AddEdge(u, v int, weight Dist) {
 	if b.errlt != nil {
 		return
 	}
-	switch {
-	case u < 0 || u >= b.n || v < 0 || v >= b.n:
-		b.errlt = fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
-		return
-	case u == v:
-		b.errlt = fmt.Errorf("graph: self-loop at node %d", u)
-		return
-	case weight < 0:
-		b.errlt = fmt.Errorf("graph: negative weight %d on edge (%d,%d)", weight, u, v)
-		return
-	case weight >= Inf:
-		b.errlt = fmt.Errorf("graph: weight %d on edge (%d,%d) is the Inf sentinel", weight, u, v)
+	if b.errlt = checkEdge(b.n, u, v, weight); b.errlt != nil {
 		return
 	}
-	if u > v {
-		u, v = v, u
-	}
-	key := [2]int{u, v}
-	if old, ok := b.w[key]; !ok || weight < old {
-		b.w[key] = weight
-	}
+	b.edges = append(b.edges, Edge{U: min(u, v), V: max(u, v), Weight: weight})
 }
 
-// Freeze validates and returns the immutable graph.
+// checkEdge validates the edge {u,v} of an n-node graph.
+func checkEdge(n, u, v int, weight Dist) error {
+	switch {
+	case u < 0 || u >= n || v < 0 || v >= n:
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+	case u == v:
+		return fmt.Errorf("graph: self-loop at node %d", u)
+	case weight < 0:
+		return fmt.Errorf("graph: negative weight %d on edge (%d,%d)", weight, u, v)
+	case weight >= Inf:
+		return fmt.Errorf("graph: weight %d on edge (%d,%d) is the Inf sentinel", weight, u, v)
+	}
+	return nil
+}
+
+// Freeze validates and returns the immutable graph. A counting sort
+// buckets the edges by U and each small bucket is sorted by (V, weight),
+// so the first of each run of duplicates is the lightest and is kept.
+// Filling the arcs in that edge order leaves every adjacency list sorted:
+// u's arcs to smaller ids come from earlier buckets than its own.
 func (b *Builder) Freeze() (*Graph, error) {
 	if b.errlt != nil {
 		return nil, b.errlt
 	}
-	g := &Graph{n: b.n, adj: make([][]Arc, b.n)}
-	g.edges = make([]Edge, 0, len(b.w))
-	deg := make([]int, b.n)
-	for key, w := range b.w {
-		g.edges = append(g.edges, Edge{U: key[0], V: key[1], Weight: w})
-		deg[key[0]]++
-		deg[key[1]]++
+	n := b.n
+	if n < 0 || n > MaxNodes {
+		return nil, fmt.Errorf("graph: node count %d outside [0,%d]", n, MaxNodes)
 	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
+	off := make([]int, n+1)
+	for _, e := range b.edges {
+		off[e.U+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	next := slices.Clone(off[:n])
+	edges := make([]Edge, len(b.edges))
+	for _, e := range b.edges {
+		edges[next[e.U]] = e
+		next[e.U]++
+	}
+	m := 0
+	for u := 0; u < n; u++ {
+		bucket := edges[off[u]:off[u+1]]
+		slices.SortFunc(bucket, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.V, y.V), cmp.Compare(x.Weight, y.Weight)) })
+		last := -1
+		for _, e := range bucket {
+			if e.V != last {
+				edges[m] = e
+				m++
+				last = e.V
+			}
 		}
-		return g.edges[i].V < g.edges[j].V
-	})
-	for u := 0; u < b.n; u++ {
-		g.adj[u] = make([]Arc, 0, deg[u])
 	}
-	for _, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Weight: e.Weight})
-		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Weight: e.Weight})
+	edges = edges[:m:m]
+	clear(off)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
 	}
-	for u := 0; u < b.n; u++ {
-		a := g.adj[u]
-		sort.Slice(a, func(i, j int) bool { return a[i].To < a[j].To })
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
 	}
-	return g, nil
+	copy(next, off)
+	arcs := make([]Arc, 2*m)
+	for _, e := range edges {
+		arcs[next[e.U]] = Arc{To: e.V, Weight: e.Weight}
+		next[e.U]++
+		arcs[next[e.V]] = Arc{To: e.U, Weight: e.Weight}
+		next[e.V]++
+	}
+	return &Graph{n: n, off: off, arcs: arcs, edges: edges}, nil
 }
 
 // MustFreeze is Freeze for generators whose inputs are known valid.
@@ -234,7 +303,7 @@ func (g *Graph) IsConnected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, a := range g.adj[u] {
+		for _, a := range g.Adj(u) {
 			if !seen[a.To] {
 				seen[a.To] = true
 				count++
@@ -264,7 +333,7 @@ func (g *Graph) Components() [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			nodes = append(nodes, u)
-			for _, a := range g.adj[u] {
+			for _, a := range g.Adj(u) {
 				if comp[a.To] < 0 {
 					comp[a.To] = id
 					stack = append(stack, a.To)
@@ -281,7 +350,7 @@ func (g *Graph) Components() [][]int {
 func (g *Graph) Validate() error {
 	for u := 0; u < g.n; u++ {
 		prev := -1
-		for _, a := range g.adj[u] {
+		for _, a := range g.Adj(u) {
 			if a.To <= prev {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", u)
 			}
@@ -297,7 +366,7 @@ func (g *Graph) Validate() error {
 	}
 	deg2 := 0
 	for u := 0; u < g.n; u++ {
-		deg2 += len(g.adj[u])
+		deg2 += g.Degree(u)
 	}
 	if deg2 != 2*len(g.edges) {
 		return fmt.Errorf("graph: degree sum %d != 2m=%d", deg2, 2*len(g.edges))

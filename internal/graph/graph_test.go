@@ -2,8 +2,13 @@ package graph
 
 import (
 	"container/heap"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +72,21 @@ func TestBuilderErrors(t *testing.T) {
 				t.Error("Freeze succeeded, want error")
 			}
 		})
+	}
+}
+
+// TestNodeCountLimits: a node count below 0 or above MaxNodes is an
+// error from Freeze and from the problem line, not an allocation panic.
+func TestNodeCountLimits(t *testing.T) {
+	for _, n := range []int{-1, MaxNodes + 1, math.MaxInt} {
+		if g, err := NewBuilder(n).Freeze(); err == nil || g != nil {
+			t.Errorf("NewBuilder(%d).Freeze() = %v, %v; want an error", n, g, err)
+		}
+	}
+	for _, src := range []string{"p 100000000000000 0\n", fmt.Sprintf("p %d 0\n", MaxNodes+1), "p -1 0\n"} {
+		if g, err := ReadEdgeList(strings.NewReader(src)); err == nil || g != nil {
+			t.Errorf("ReadEdgeList(%q) = %v, %v; want an error", src, g, err)
+		}
 	}
 }
 
@@ -484,6 +504,42 @@ func BenchmarkShortestPathDiameter(b *testing.B) {
 	}
 }
 
+// BenchmarkReweight prices one 16-edge batch on churn-rw's graph shape
+// (1024-node geometric, weights 1-100, its seed): Reweighted against the
+// Builder rebuild of every edge that it replaced.
+func BenchmarkReweight(b *testing.B) {
+	g := Make(FamilyGeometric, 1024, UniformWeights(1, 100), 0x580776ea2c8a1a73)
+	var batch []Edge
+	for i := 0; i < 16; i++ {
+		e := g.Edges()[i*g.M()/16]
+		e.Weight = 1 + e.Weight/2
+		batch = append(batch, e)
+	}
+	b.Run("reweighted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.Reweighted(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nb := NewBuilder(g.N())
+			for _, e := range g.Edges() {
+				nb.AddEdge(e.U, e.V, e.Weight)
+			}
+			for _, e := range batch {
+				nb.AddEdge(e.U, e.V, e.Weight)
+			}
+			if _, err := nb.Freeze(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // Reference Dijkstra and MultiSourceDijkstra over container/heap: the
 // versions on Heap must reproduce their Dist, Hops, Parent and nearest
 // exactly, ties included.
@@ -684,4 +740,243 @@ func TestHeapPopsInOrder(t *testing.T) {
 			t.Fatalf("round %d: %d items left", round, h.Len())
 		}
 	}
+}
+
+// refFreeze is the map-and-sort Freeze that the bucketed one replaced,
+// kept as its reference: AddEdge's checks in call order with the first
+// error latched, the lightest of duplicate edges kept, one comparison
+// sort over the edges and one over every adjacency list.
+func refFreeze(n int, adds []Edge) ([]Edge, [][]Arc, error) {
+	w := make(map[[2]int]Dist)
+	for _, e := range adds {
+		u, v := e.U, e.V
+		switch {
+		case u < 0 || u >= n || v < 0 || v >= n:
+			return nil, nil, errors.New("out of range")
+		case u == v:
+			return nil, nil, errors.New("self-loop")
+		case e.Weight < 0:
+			return nil, nil, errors.New("negative weight")
+		case e.Weight >= Inf:
+			return nil, nil, errors.New("Inf weight")
+		}
+		if u > v {
+			u, v = v, u
+		}
+		key := [2]int{u, v}
+		if old, ok := w[key]; !ok || e.Weight < old {
+			w[key] = e.Weight
+		}
+	}
+	if n < 0 || n > MaxNodes {
+		return nil, nil, errors.New("node count")
+	}
+	adj := make([][]Arc, n)
+	edges := make([]Edge, 0, len(w))
+	for key, wt := range w {
+		edges = append(edges, Edge{U: key[0], V: key[1], Weight: wt})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	for _, e := range edges {
+		adj[e.U] = append(adj[e.U], Arc{To: e.V, Weight: e.Weight})
+		adj[e.V] = append(adj[e.V], Arc{To: e.U, Weight: e.Weight})
+	}
+	for _, a := range adj {
+		sort.Slice(a, func(i, j int) bool { return a[i].To < a[j].To })
+	}
+	return edges, adj, nil
+}
+
+// graphDiff describes how g differs from the given edge list and
+// adjacency lists, or returns "" when it has exactly those.
+func graphDiff(g *Graph, edges []Edge, adj [][]Arc) string {
+	if g.N() != len(adj) {
+		return fmt.Sprintf("n = %d, want %d", g.N(), len(adj))
+	}
+	if !slices.Equal(g.Edges(), edges) {
+		return fmt.Sprintf("Edges() = %v, want %v", g.Edges(), edges)
+	}
+	for u := range adj {
+		if !slices.Equal(g.Adj(u), adj[u]) {
+			return fmt.Sprintf("Adj(%d) = %v, want %v", u, g.Adj(u), adj[u])
+		}
+		if cap(g.Adj(u)) != len(adj[u]) {
+			return fmt.Sprintf("cap(Adj(%d)) = %d, want %d", u, cap(g.Adj(u)), len(adj[u]))
+		}
+	}
+	return ""
+}
+
+// graphState copies g's edge list and adjacency lists.
+func graphState(g *Graph) ([]Edge, [][]Arc) {
+	adj := make([][]Arc, g.N())
+	for u := range adj {
+		adj[u] = slices.Clone(g.Adj(u))
+	}
+	return slices.Clone(g.Edges()), adj
+}
+
+// TestFreezeMatchesReference: every generated family, rebuilt through
+// the Builder with each edge added twice (the heavier copy in the
+// opposite orientation), equals the reference Freeze.
+func TestFreezeMatchesReference(t *testing.T) {
+	for _, f := range AllFamilies() {
+		g := Make(f, 96, UniformWeights(1, 30), 9)
+		var adds []Edge
+		for _, e := range g.Edges() {
+			adds = append(adds, Edge{U: e.V, V: e.U, Weight: e.Weight + 1}, e)
+		}
+		b := NewBuilder(g.N())
+		for _, e := range adds {
+			b.AddEdge(e.U, e.V, e.Weight)
+		}
+		got, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges, adj, err := refFreeze(g.N(), adds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := graphDiff(got, edges, adj); d != "" {
+			t.Errorf("%s: %s", f, d)
+		}
+		if d := graphDiff(g, edges, adj); d != "" {
+			t.Errorf("%s generator: %s", f, d)
+		}
+	}
+}
+
+// TestReweightedMatchesRebuild: on random batches over every family, in
+// both orientations and with repeated edges, Reweighted equals a Builder
+// rebuild with each edge's last weight, and leaves the receiver's edges
+// and adjacency lists as they were.
+func TestReweightedMatchesRebuild(t *testing.T) {
+	r := rand.New(rand.NewPCG(20, 7))
+	for _, f := range AllFamilies() {
+		g := Make(f, 80, UniformWeights(1, 40), 20)
+		origEdges, origAdj := graphState(g)
+		for trial := 0; trial < 6; trial++ {
+			edges := g.Edges()
+			final := map[[2]int]Dist{}
+			var batch []Edge
+			for i := 1 + r.IntN(24); i > 0; i-- {
+				e := edges[r.IntN(len(edges))]
+				e.Weight = Dist(r.IntN(50))
+				final[[2]int{e.U, e.V}] = e.Weight
+				if r.IntN(2) == 0 {
+					e.U, e.V = e.V, e.U
+				}
+				batch = append(batch, e)
+			}
+			ng, err := g.Reweighted(batch)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", f, trial, err)
+			}
+			b := NewBuilder(g.N())
+			for _, e := range edges {
+				if w, ok := final[[2]int{e.U, e.V}]; ok {
+					e.Weight = w
+				}
+				b.AddEdge(e.U, e.V, e.Weight)
+			}
+			wantEdges, wantAdj := graphState(b.MustFreeze())
+			if d := graphDiff(ng, wantEdges, wantAdj); d != "" {
+				t.Errorf("%s trial %d: %s", f, trial, d)
+			}
+			if err := ng.Validate(); err != nil {
+				t.Errorf("%s trial %d: %v", f, trial, err)
+			}
+			if d := graphDiff(g, origEdges, origAdj); d != "" {
+				t.Fatalf("%s trial %d: receiver changed: %s", f, trial, d)
+			}
+		}
+	}
+}
+
+// TestReweightedLastDuplicateWins: repeated changes to one edge apply in
+// order, whatever orientation names it.
+func TestReweightedLastDuplicateWins(t *testing.T) {
+	g := mustFromEdges(t, 3, []Edge{{0, 1, 5}, {1, 2, 7}})
+	ng, err := g.Reweighted([]Edge{{0, 1, 2}, {2, 1, 9}, {1, 0, 4}, {1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{0, 1, 4}, {1, 2, 3}}
+	if !slices.Equal(ng.Edges(), want) {
+		t.Errorf("Edges() = %v, want %v", ng.Edges(), want)
+	}
+	if w, _ := ng.EdgeWeight(1, 0); w != 4 {
+		t.Errorf("EdgeWeight(1,0) = %d, want 4", w)
+	}
+	if w, _ := ng.EdgeWeight(2, 1); w != 3 {
+		t.Errorf("EdgeWeight(2,1) = %d, want 3", w)
+	}
+}
+
+// TestReweightedRejects: a change AddEdge would refuse, or one naming an
+// edge the graph lacks, fails the whole batch and writes nothing.
+func TestReweightedRejects(t *testing.T) {
+	g := mustFromEdges(t, 4, []Edge{{0, 1, 5}, {1, 2, 7}, {2, 3, 1}})
+	origEdges, origAdj := graphState(g)
+	cases := map[string]Edge{
+		"unknown edge": {0, 2, 1},
+		"self-loop":    {1, 1, 1},
+		"negative id":  {-1, 0, 1},
+		"id n":         {3, 4, 1},
+		"negative":     {0, 1, -1},
+		"Inf":          {1, 2, Inf},
+		"reversed Inf": {2, 1, Inf},
+		"unknown far":  {3, 0, 2},
+	}
+	for name, bad := range cases {
+		ng, err := g.Reweighted([]Edge{{0, 1, 2}, bad})
+		if err == nil || ng != nil {
+			t.Errorf("%s: Reweighted = %v, %v; want an error", name, ng, err)
+		}
+		if d := graphDiff(g, origEdges, origAdj); d != "" {
+			t.Fatalf("%s: receiver changed: %s", name, d)
+		}
+	}
+	if ng, err := g.Reweighted(nil); err != nil || graphDiff(ng, origEdges, origAdj) != "" {
+		t.Errorf("empty batch: %v, %v; want an equal copy", ng, err)
+	}
+}
+
+// TestReweightedAllocs: a batch costs the same constant number of
+// allocations on a graph 16 times larger: the two array copies and the
+// graph header, no per-edge or per-node work.
+func TestReweightedAllocs(t *testing.T) {
+	var got []float64
+	for _, n := range []int{64, 1024} {
+		g := Make(FamilyGeometric, n, UniformWeights(1, 50), 3)
+		var batch []Edge
+		for i := 0; i < 16; i++ {
+			e := g.Edges()[i*g.M()/16]
+			batch = append(batch, Edge{U: e.V, V: e.U, Weight: 1})
+		}
+		got = append(got, testing.AllocsPerRun(20, func() {
+			if _, err := g.Reweighted(batch); err != nil {
+				panic(err)
+			}
+		}))
+	}
+	if got[0] != got[1] || got[1] > 3 {
+		t.Errorf("Reweighted allocations on 64 and 1024 nodes = %v, want one constant ≤ 3", got)
+	}
+}
+
+// mustFromEdges is FromEdges for tests with known-valid edges.
+func mustFromEdges(t *testing.T, n int, edges []Edge) *Graph {
+	t.Helper()
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -15,7 +15,8 @@ import (
 //	p <n> <m>
 //	e <u> <v> <weight>
 //
-// Node IDs are 0-based. The problem line must precede all edge lines.
+// Node IDs are 0-based. The problem line must precede all edge lines, and
+// n may not exceed MaxNodes.
 
 // WriteEdgeList serializes g.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -55,8 +56,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: want 'p <n> <m>'", line)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad n %q", line, fields[1])
+			if err != nil || n < 0 || n > MaxNodes {
+				return nil, fmt.Errorf("graph: line %d: bad n %q (want 0..%d)", line, fields[1], MaxNodes)
 			}
 			m, err := strconv.Atoi(fields[2])
 			if err != nil || m < 0 {

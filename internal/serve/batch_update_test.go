@@ -41,7 +41,7 @@ func TestUpdateEdgeBatchOneCloneOneSwap(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	repl := map[[2]int]distsketch.Dist{}
+	var edits []distsketch.Edge
 	var reqs []string
 	for _, e := range g.Edges() {
 		if len(reqs) == 64 {
@@ -51,7 +51,7 @@ func TestUpdateEdgeBatchOneCloneOneSwap(t *testing.T) {
 			continue
 		}
 		nw := e.Weight / 2
-		repl[[2]int{e.U, e.V}] = nw
+		edits = append(edits, distsketch.Edge{U: e.U, V: e.V, Weight: nw})
 		reqs = append(reqs, fmt.Sprintf(`{"u":%d,"v":%d,"weight":%d}`, e.U, e.V, nw))
 	}
 	if len(reqs) != 64 {
@@ -75,7 +75,7 @@ func TestUpdateEdgeBatchOneCloneOneSwap(t *testing.T) {
 	}
 
 	// The served set must be the exact rebuild on the mutated topology.
-	ng, err := reweighAll(g, repl)
+	ng, err := g.Reweighted(edits)
 	if err != nil {
 		t.Fatal(err)
 	}

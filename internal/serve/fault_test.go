@@ -144,7 +144,7 @@ func TestOverloadDeadlineCutsBatch(t *testing.T) {
 	}
 
 	// An update whose deadline expired while queued is refused after the
-	// lock, before the O(m) reweigh.
+	// lock, before the O(m) reweight.
 	e := g.Edges()[0]
 	if code := postJSON(t, ts.URL+"/update-edge",
 		fmt.Sprintf(`{"u":%d,"v":%d,"weight":1}`, e.U, e.V), nil); code != http.StatusServiceUnavailable {
@@ -447,7 +447,7 @@ func TestFaultShutdownDuringUpdateStorm(t *testing.T) {
 	replica := set.Clone()
 	curG := g
 	for k := 1; k <= S; k++ {
-		next, err := reweigh(curG, edge.U, edge.V, edge.Weight-distsketch.Dist(k))
+		next, err := curG.Reweighted([]distsketch.Edge{{U: edge.U, V: edge.V, Weight: edge.Weight - distsketch.Dist(k)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,6 +487,7 @@ func TestFaultShutdownMidBatchRepair(t *testing.T) {
 	}
 	// Six decreases spread across the graph, as one array-body batch.
 	repl := map[[2]int]distsketch.Dist{}
+	var edits []distsketch.Edge
 	var parts []string
 	var changes []distsketch.EdgeChange
 	for i := 0; len(parts) < 6 && i < g.M(); i += g.M() / 7 {
@@ -496,6 +497,7 @@ func TestFaultShutdownMidBatchRepair(t *testing.T) {
 			continue
 		}
 		repl[key] = e.Weight / 2
+		edits = append(edits, distsketch.Edge{U: e.U, V: e.V, Weight: e.Weight / 2})
 		parts = append(parts, fmt.Sprintf(`{"u":%d,"v":%d,"weight":%d}`, e.U, e.V, e.Weight/2))
 		changes = append(changes, distsketch.EdgeChange{U: e.U, V: e.V, PrevWeight: e.Weight})
 	}
@@ -503,7 +505,7 @@ func TestFaultShutdownMidBatchRepair(t *testing.T) {
 		t.Fatalf("test graph yielded only %d usable changes", len(parts))
 	}
 	body := "[" + strings.Join(parts, ",") + "]"
-	ng, err := reweighAll(g, repl)
+	ng, err := g.Reweighted(edits)
 	if err != nil {
 		t.Fatal(err)
 	}

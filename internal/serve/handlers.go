@@ -537,7 +537,7 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	// The deadline may have expired while this request queued behind
-	// other updates; refuse before paying for the O(m) reweigh and the
+	// other updates; refuse before paying for the O(m) reweight and the
 	// repair rather than committing a swap the client stopped waiting
 	// for.
 	if r.Context().Err() != nil {
@@ -584,19 +584,20 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	// served set; a wrong graph file is an operator error no single
 	// request can reliably detect.)
 	changes := make([]distsketch.EdgeChange, 0, len(order))
+	edits := make([]distsketch.Edge, 0, len(order))
 	for _, key := range order {
 		old, _ := st.g.EdgeWeight(key[0], key[1])
 		if repl[key] == old {
-			delete(repl, key)
 			continue
 		}
 		changes = append(changes, distsketch.EdgeChange{U: key[0], V: key[1], PrevWeight: old})
+		edits = append(edits, distsketch.Edge{U: key[0], V: key[1], Weight: repl[key]})
 	}
 	if len(changes) == 0 {
 		writeJSON(w, http.StatusOK, UpdateReply{LabelsShared: st.set.N()})
 		return
 	}
-	next, err := reweighAll(st.g, repl)
+	next, err := st.g.Reweighted(edits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -670,26 +671,4 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SaveReply{
 		Path: s.snapshotPath, Nodes: st.set.N(), EnvelopeVersion: version,
 	})
-}
-
-// reweigh rebuilds g with the single edge {a,b} set to weight wt.
-func reweigh(g *distsketch.Graph, a, b int, wt distsketch.Dist) (*distsketch.Graph, error) {
-	if a > b {
-		a, b = b, a
-	}
-	return reweighAll(g, map[[2]int]distsketch.Dist{{a, b}: wt})
-}
-
-// reweighAll rebuilds g with every edge in repl (keys normalized to
-// U < V) set to its new weight — one O(m) pass for the whole batch.
-func reweighAll(g *distsketch.Graph, repl map[[2]int]distsketch.Dist) (*distsketch.Graph, error) {
-	nb := distsketch.NewGraphBuilder(g.N())
-	for _, e := range g.Edges() {
-		if wt, ok := repl[[2]int{e.U, e.V}]; ok {
-			nb.AddEdge(e.U, e.V, wt)
-		} else {
-			nb.AddEdge(e.U, e.V, e.Weight)
-		}
-	}
-	return nb.Freeze()
 }

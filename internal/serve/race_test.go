@@ -53,7 +53,7 @@ func TestConcurrentQueryDuringUpdates(t *testing.T) {
 	}
 	record(replica)
 	for k := 1; k <= updates; k++ {
-		next, err := reweigh(curG, edge.U, edge.V, edge.Weight-distsketch.Dist(k))
+		next, err := curG.Reweighted([]distsketch.Edge{{U: edge.U, V: edge.V, Weight: edge.Weight - distsketch.Dist(k)}})
 		if err != nil {
 			t.Fatal(err)
 		}

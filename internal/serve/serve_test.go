@@ -412,7 +412,7 @@ func TestUpdateEdgeEndpoint(t *testing.T) {
 	// A decrease must apply, and the served estimates must be
 	// byte-identical to an in-process repair of the same edge.
 	expect := set.Clone()
-	g2, err := reweigh(g, e.U, e.V, 1)
+	g2, err := g.Reweighted([]distsketch.Edge{{U: e.U, V: e.V, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,15 +247,7 @@ func TestUpdateEdgePublic(t *testing.T) {
 	}
 
 	e := g.Edges()[g.M()/2]
-	nb := NewGraphBuilder(g.N())
-	for _, x := range g.Edges() {
-		w := x.Weight
-		if x.U == e.U && x.V == e.V {
-			w = 1
-		}
-		nb.AddEdge(x.U, x.V, w)
-	}
-	ng, err := nb.Freeze()
+	ng, err := g.Reweighted([]Edge{{U: e.U, V: e.V, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,36 +26,27 @@ type repairRound struct {
 func repairSchedule(b *testing.B, g *Graph, rounds, size int, seed uint64) []repairRound {
 	b.Helper()
 	r := rand.New(rand.NewPCG(seed, 17))
-	reweigh := func(base *Graph, repl map[[2]int]Dist) *Graph {
-		nb := NewGraphBuilder(base.N())
-		for _, e := range base.Edges() {
-			w := e.Weight
-			if nw, ok := repl[[2]int{e.U, e.V}]; ok {
-				w = nw
-			}
-			nb.AddEdge(e.U, e.V, w)
-		}
-		ng, err := nb.Freeze()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ng
-	}
 	out := make([]repairRound, 0, rounds)
 	cur := g
 	for i := 0; i < rounds; i++ {
 		edges := cur.Edges()
-		repl := map[[2]int]Dist{}
+		seen := map[[2]int]bool{}
+		var edits []Edge
 		var round repairRound
 		for len(round.changes) < size {
 			e := edges[r.IntN(len(edges))]
 			key := [2]int{e.U, e.V}
-			if _, dup := repl[key]; dup || e.Weight < 2 {
+			if seen[key] || e.Weight < 2 {
 				continue
 			}
-			repl[key] = e.Weight - 1 - Dist(r.IntN(int(e.Weight/2)))
+			seen[key] = true
+			edits = append(edits, Edge{U: e.U, V: e.V, Weight: e.Weight - 1 - Dist(r.IntN(int(e.Weight/2)))})
 			round.changes = append(round.changes, EdgeChange{U: e.U, V: e.V, PrevWeight: e.Weight})
-			round.inter = append(round.inter, reweigh(cur, repl))
+			ng, err := cur.Reweighted(edits)
+			if err != nil {
+				b.Fatal(err)
+			}
+			round.inter = append(round.inter, ng)
 		}
 		round.next = round.inter[len(round.inter)-1]
 		out = append(out, round)

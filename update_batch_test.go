@@ -15,15 +15,11 @@ import (
 // are normalized (min,max) endpoint pairs.
 func reweighted(t *testing.T, g *Graph, repl map[[2]int]Dist) *Graph {
 	t.Helper()
-	nb := NewGraphBuilder(g.N())
-	for _, e := range g.Edges() {
-		w := e.Weight
-		if nw, ok := repl[[2]int{e.U, e.V}]; ok {
-			w = nw
-		}
-		nb.AddEdge(e.U, e.V, w)
+	edits := make([]Edge, 0, len(repl))
+	for key, w := range repl {
+		edits = append(edits, Edge{U: key[0], V: key[1], Weight: w})
 	}
-	ng, err := nb.Freeze()
+	ng, err := g.Reweighted(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
