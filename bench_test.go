@@ -1,363 +1,29 @@
 package distsketch
 
-// One benchmark per reproduced result (DESIGN.md §4). The paper is a
-// theory paper, so its "tables and figures" are its theorems; each bench
-// regenerates the measured quantity the theorem bounds and reports it as
-// custom metrics next to the bound. Full sweep tables live in
-// cmd/sketchbench and EXPERIMENTS.md; these benches exercise one
-// representative configuration per result so `go test -bench=.` yields
-// the complete reproduction at a glance.
+// Benchmarks of the facade: the asynchronous-delivery overhead, builds per
+// kind, the query hot path and set startup. The paper's own quantities
+// (rounds, messages, words and stretch against each theorem's bound) are
+// the E-series in internal/experiments: cmd/sketchbench prints them and
+// TestExperimentsSuite requires every bound to hold.
 
 import (
 	"bytes"
-	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"distsketch/internal/congest"
 	"distsketch/internal/core"
-	"distsketch/internal/eval"
 	"distsketch/internal/experiments"
 	"distsketch/internal/graph"
-	"distsketch/internal/sketch"
-	"distsketch/internal/tz"
 )
-
-const (
-	benchN    = 256
-	benchK    = 3
-	benchSeed = 1
-)
-
-func benchGraph(b *testing.B, f graph.Family) *graph.Graph {
-	b.Helper()
-	return graph.Make(f, benchN, graph.UniformWeights(1, 10), benchSeed)
-}
-
-// BenchmarkE1_TZRounds — Theorem 1.1/3.8 round complexity.
-func BenchmarkE1_TZRounds(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	s := graph.ShortestPathDiameter(g)
-	bound := float64(benchK) * 3 * math.Pow(float64(g.N()), 1.0/benchK) *
-		math.Log(float64(g.N())) * float64(s)
-	var rounds int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: uint64(i), Mode: core.SyncOmniscient})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Cost.Total.Rounds
-		if float64(rounds) > bound+benchK {
-			b.Fatalf("rounds %d exceed Theorem 3.8 bound %.0f", rounds, bound)
-		}
-	}
-	b.ReportMetric(float64(rounds), "rounds")
-	b.ReportMetric(float64(rounds)/bound, "rounds/bound")
-}
-
-// BenchmarkE2_TZMessages — Theorem 1.1/3.8 message complexity.
-func BenchmarkE2_TZMessages(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	s := graph.ShortestPathDiameter(g)
-	bound := 2 * float64(g.M()) * float64(benchK) * 3 *
-		math.Pow(float64(g.N()), 1.0/benchK) * math.Log(float64(g.N())) * float64(s)
-	var msgs int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: uint64(i), Mode: core.SyncOmniscient})
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs = res.Cost.Total.Messages
-		if float64(msgs) > bound {
-			b.Fatalf("messages %d exceed Theorem 3.8 bound %.0f", msgs, bound)
-		}
-	}
-	b.ReportMetric(float64(msgs), "messages")
-	b.ReportMetric(float64(msgs)/bound, "msgs/bound")
-}
-
-// BenchmarkE3_SketchSize — Lemma 3.1 / Theorem 3.8 sketch size.
-func BenchmarkE3_SketchSize(b *testing.B) {
-	g := benchGraph(b, graph.FamilyGeometric)
-	eBound := float64(2*benchK) + 3*float64(benchK)*math.Pow(float64(g.N()), 1.0/benchK)
-	var mean float64
-	var max int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: uint64(i), Mode: core.SyncOmniscient})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean, max = res.MeanLabelWords(), res.MaxLabelWords()
-		if mean > 2*eBound {
-			b.Fatalf("mean size %.1f words > 2x Lemma 3.1 bound %.1f", mean, eBound)
-		}
-	}
-	b.ReportMetric(mean, "mean-words")
-	b.ReportMetric(float64(max), "max-words")
-	b.ReportMetric(mean/eBound, "mean/bound")
-}
-
-// BenchmarkE4_TZStretch — Lemma 3.2 stretch and query cost. The ns/op of
-// this bench is the per-query latency itself (sketch-only computation).
-func BenchmarkE4_TZStretch(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	res, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ap := graph.APSP(g)
-	rep := eval.Evaluate(ap, res.Query, eval.SamplePairs(g.N(), 20000, 3))
-	if rep.Violations != 0 || rep.MaxStretch > float64(2*benchK-1) {
-		b.Fatalf("stretch report %v violates Lemma 3.2", rep)
-	}
-	b.ReportMetric(rep.MaxStretch, "max-stretch")
-	b.ReportMetric(rep.AvgStretch, "avg-stretch")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res.Query(i%g.N(), (i*31+17)%g.N())
-	}
-}
-
-// BenchmarkE5_BunchTail — Lemma 3.6 tail bound.
-func BenchmarkE5_BunchTail(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	threshold := 3 * math.Pow(float64(g.N()), 1.0/benchK) * math.Log(float64(g.N()))
-	exceed, samples := 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o, err := tz.Build(g, benchK, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		perLevel := make([]int, benchK)
-		for u := 0; u < g.N(); u++ {
-			for j := range perLevel {
-				perLevel[j] = 0
-			}
-			for _, e := range o.Label(u).Bunch {
-				perLevel[e.Level]++
-			}
-			for _, c := range perLevel {
-				samples++
-				if float64(c) > threshold {
-					exceed++
-				}
-			}
-		}
-	}
-	if exceed > 0 {
-		b.Fatalf("%d/%d bunch sizes exceeded the Lemma 3.6 threshold", exceed, samples)
-	}
-	b.ReportMetric(float64(samples), "samples")
-	b.ReportMetric(0, "exceedances")
-}
-
-// BenchmarkE6_Termination — Section 3.3 detection overhead vs omniscient.
-func BenchmarkE6_Termination(b *testing.B) {
-	g := benchGraph(b, graph.FamilyGeometric)
-	omn, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var det *core.TZResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det, err = core.BuildTZ(g, core.TZOptions{K: benchK, Seed: benchSeed, Mode: core.SyncDetection})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if det.Cost.EchoMessages != det.Cost.DataMessages {
-			b.Fatalf("echo %d != data %d", det.Cost.EchoMessages, det.Cost.DataMessages)
-		}
-	}
-	b.ReportMetric(float64(det.Cost.Total.Rounds)/float64(omn.Cost.Total.Rounds), "round-overhead")
-	b.ReportMetric(float64(det.Cost.Total.Messages)/float64(omn.Cost.Total.Messages), "msg-overhead")
-}
-
-// BenchmarkE7_DensityNet — Lemma 4.2 density net construction (constant
-// time distributed; here: the sampling plus the covering check).
-func BenchmarkE7_DensityNet(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	n := g.N()
-	eps := 0.125
-	bound := 10 / eps * math.Log(float64(n))
-	var netSize int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := sketch.DensityNet(n, eps, uint64(i), sketch.SaltNet)
-		netSize = len(net)
-		if float64(netSize) > bound {
-			b.Fatalf("|N| = %d > Lemma 4.2 bound %.1f", netSize, bound)
-		}
-	}
-	b.ReportMetric(float64(netSize), "net-size")
-	b.ReportMetric(float64(netSize)/bound, "size/bound")
-}
-
-// BenchmarkE8_LandmarkSlack — Theorem 4.3 stretch-3 ε-slack sketches.
-func BenchmarkE8_LandmarkSlack(b *testing.B) {
-	g := benchGraph(b, graph.FamilyGeometric)
-	eps := 0.25
-	ap := graph.APSP(g)
-	var rep eval.SlackReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildLandmark(g, core.SlackOptions{Eps: eps, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		rep = eval.EvaluateSlack(ap, res.Query, eval.SamplePairs(g.N(), 20000, 5), eps)
-		if rep.Far.MaxStretch > 3 || rep.Far.Violations > 0 {
-			b.Fatalf("Theorem 4.3 violated: %v", rep.Far)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(rep.Far.MaxStretch, "far-max-stretch")
-	b.ReportMetric(rep.FarFrac, "far-fraction")
-}
-
-// BenchmarkE9_CDG — Theorem 4.6 (ε,k)-CDG sketches.
-func BenchmarkE9_CDG(b *testing.B) {
-	g := benchGraph(b, graph.FamilyGeometric)
-	eps, k := 0.25, 2
-	ap := graph.APSP(g)
-	var rep eval.SlackReport
-	var size int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildCDG(g, core.SlackOptions{Eps: eps, K: k, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		size = res.MaxLabelWords()
-		rep = eval.EvaluateSlack(ap, res.Query, eval.SamplePairs(g.N(), 20000, 7), eps)
-		if bound := float64(8*k - 1); rep.Far.MaxStretch > bound || rep.Far.Violations > 0 {
-			b.Fatalf("Theorem 4.6 violated: %v", rep.Far)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(rep.Far.MaxStretch, "far-max-stretch")
-	b.ReportMetric(float64(size), "max-words")
-}
-
-// BenchmarkE10_Graceful — Theorem 4.8 / Corollary 4.9 gracefully
-// degrading sketches: O(log n) worst stretch, O(1) average stretch.
-func BenchmarkE10_Graceful(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	ap := graph.APSP(g)
-	worstBound := float64(8*sketch.GracefulLevels(g.N()) - 1)
-	var worst, avg float64
-	var size int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildGraceful(g, core.SlackOptions{Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		rep := eval.Evaluate(ap, res.Query, eval.SamplePairs(g.N(), 20000, 9))
-		worst, avg = rep.MaxStretch, eval.AvgStretchAllPairs(ap, res.Query)
-		size = res.MaxLabelWords()
-		if worst > worstBound || rep.Violations > 0 {
-			b.Fatalf("Theorem 4.8 violated: worst %.2f > %.1f", worst, worstBound)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(worst, "worst-stretch")
-	b.ReportMetric(avg, "avg-stretch")
-	b.ReportMetric(float64(size), "max-words")
-}
-
-// BenchmarkE11_QueryVsOnline — Section 2.1: sketch exchange (O(D·size))
-// vs online computation (Ω(S)) on a hub-ring where S ≫ D.
-func BenchmarkE11_QueryVsOnline(b *testing.B) {
-	// Ring of unit edges + hub with heavy edges: D=2, S=n/2.
-	ringN := benchN
-	gb := graph.NewBuilder(ringN + 1)
-	for i := 0; i < ringN; i++ {
-		gb.AddEdge(i, (i+1)%ringN, 1)
-		gb.AddEdge(i, ringN, graph.Dist(ringN))
-	}
-	g := gb.MustFreeze()
-	d := graph.HopDiameter(g)
-	s := graph.ShortestPathDiameter(g)
-	k := int(math.Floor(math.Log2(float64(g.N()))))
-	var words int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BuildTZ(g, core.TZOptions{K: k, Seed: uint64(i), Mode: core.SyncOmniscient})
-		if err != nil {
-			b.Fatal(err)
-		}
-		words = res.MaxLabelWords()
-	}
-	b.ReportMetric(float64(d*words), "exchange-rounds")
-	b.ReportMetric(float64(s), "online-rounds")
-	b.ReportMetric(float64(s)/float64(d*words), "online/exchange")
-}
-
-// BenchmarkE12_Equivalence — distributed vs centralized label identity
-// under shared coins (the repository's strongest correctness check).
-func BenchmarkE12_Equivalence(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seed := uint64(i)
-		dist, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: seed, Mode: core.SyncOmniscient})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cent, err := tz.Build(g, benchK, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for u := 0; u < g.N(); u++ {
-			if len(dist.Labels[u].Bunch) != len(cent.Labels[u].Bunch) {
-				b.Fatalf("node %d: bunch mismatch", u)
-			}
-			for w, e := range cent.Labels[u].Bunch {
-				if dist.Labels[u].Bunch[w] != e {
-					b.Fatalf("node %d: bunch[%d] mismatch", u, w)
-				}
-			}
-		}
-	}
-	b.ReportMetric(1, "identical")
-}
-
-// BenchmarkE13_Bandwidth — the Section 2.2 bandwidth-B generalization:
-// rounds shrink roughly by B, labels unchanged.
-func BenchmarkE13_Bandwidth(b *testing.B) {
-	g := benchGraph(b, graph.FamilyER)
-	base, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var batched *core.TZResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batched, err = core.BuildTZ(g, core.TZOptions{
-			K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient, Batch: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if batched.Cost.Total.Rounds > base.Cost.Total.Rounds {
-			b.Fatalf("batching increased rounds")
-		}
-	}
-	b.ReportMetric(float64(base.Cost.Total.Rounds)/float64(batched.Cost.Total.Rounds), "speedup-B4")
-}
 
 // BenchmarkAsyncOverhead — the asynchronous-delivery extension: same
 // labels, round count grows with the delay bound.
 func BenchmarkAsyncOverhead(b *testing.B) {
-	g := benchGraph(b, graph.FamilyGrid)
-	sync, err := core.BuildTZ(g, core.TZOptions{K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient})
+	const k, seed = 3, 1
+	g := graph.Make(graph.FamilyGrid, 256, graph.UniformWeights(1, 10), seed)
+	sync, err := core.BuildTZ(g, core.TZOptions{K: k, Seed: seed, Mode: core.SyncOmniscient})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,7 +31,7 @@ func BenchmarkAsyncOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		async, err = core.BuildTZ(g, core.TZOptions{
-			K: benchK, Seed: benchSeed, Mode: core.SyncOmniscient,
+			K: k, Seed: seed, Mode: core.SyncOmniscient,
 			Congest: congest.Config{MaxDelay: 4},
 		})
 		if err != nil {
@@ -495,25 +161,53 @@ func TestQueryPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEstimateSerialized measures the full serialized query path.
-func BenchmarkEstimateSerialized(b *testing.B) {
-	g, err := NewRandomWeightedGraph(FamilyER, 128, 1, 50, 1)
+// BenchmarkLoadSketchSet measures set startup from the saved envelope of
+// every kind (256-node geometric graph): "heap" copies the payload with
+// ReadSketchSet, "mmap" maps the file with OpenSketchSet. Both scan the
+// O(n) directory and decode a label on first touch, so the mmap row
+// allocates near nothing per label. Run it with -benchmem.
+func BenchmarkLoadSketchSet(b *testing.B) {
+	const n = 256
+	g, err := NewRandomWeightedGraph(FamilyGeometric, n, 1, 100, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Build(g, Options{Kind: KindTZ, K: 3, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	blobs := make([][]byte, g.N())
-	for u := 0; u < g.N(); u++ {
-		blobs[u] = res.SketchBytes(u)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Estimate(blobs[i%g.N()], blobs[(i*37+11)%g.N()]); err != nil {
+	dir := b.TempDir()
+	for _, kind := range []Kind{KindTZ, KindLandmark, KindCDG, KindGraceful} {
+		set, err := Build(g, Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1})
+		if err != nil {
 			b.Fatal(err)
+		}
+		var env bytes.Buffer
+		if _, err := set.WriteTo(&env); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, string(kind)+".dsk")
+		if err := os.WriteFile(path, env.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		loads := []struct {
+			backing string
+			load    func() (*SketchSet, error)
+		}{
+			{"heap", func() (*SketchSet, error) { return ReadSketchSet(bytes.NewReader(env.Bytes())) }},
+			{"mmap", func() (*SketchSet, error) { return OpenSketchSet(path) }},
+		}
+		for _, l := range loads {
+			b.Run(string(kind)+"/"+l.backing, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					loaded, err := l.load()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if loaded.N() != n {
+						b.Fatalf("loaded %d nodes, want %d", loaded.N(), n)
+					}
+					loaded.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/label")
+			})
 		}
 	}
 }

@@ -43,80 +43,11 @@ func TestSSSPBadSource(t *testing.T) {
 	}
 }
 
-func TestKSourceMatchesPerSourceDijkstra(t *testing.T) {
-	g := graph.Make(graph.FamilyER, 80, graph.UniformWeights(1, 7), 11)
-	sources := []int{0, 17, 42, 79}
-	res, err := KSource(g, sources, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sources {
-		want := graph.Dijkstra(g, s)
-		for u := 0; u < g.N(); u++ {
-			got, ok := res.Dist[u][s]
-			if !ok || got != want.Dist[u] {
-				t.Fatalf("d(%d,%d) = %d (ok=%v), want %d", u, s, got, ok, want.Dist[u])
-			}
-		}
-	}
-	// Only the requested sources appear.
-	for u := 0; u < g.N(); u++ {
-		if len(res.Dist[u]) != len(sources) {
-			t.Fatalf("node %d knows %d sources, want %d", u, len(res.Dist[u]), len(sources))
-		}
-	}
-}
-
-func TestKSourceOneMessagePerEdgePerRound(t *testing.T) {
-	// The per-edge FIFO discipline means messages ≤ 2·|E|·rounds.
-	g := graph.Make(graph.FamilyBA, 64, graph.UniformWeights(1, 5), 2)
-	sources := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	res, err := KSource(g, sources, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Messages > int64(2*g.M()*res.Stats.Rounds) {
-		t.Errorf("messages %d exceed bandwidth budget %d", res.Stats.Messages, 2*g.M()*res.Stats.Rounds)
-	}
-}
-
-func TestKSourceEmptySources(t *testing.T) {
-	g := graph.Path(4, graph.UnitWeights(), 0)
-	res, err := KSource(g, nil, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Messages != 0 {
-		t.Errorf("no sources should send nothing, got %d messages", res.Stats.Messages)
-	}
-}
-
-func TestKSourceBadSource(t *testing.T) {
-	g := graph.Path(4, graph.UnitWeights(), 0)
-	if _, err := KSource(g, []int{-1}, congest.Config{}); err == nil {
-		t.Error("negative source accepted")
-	}
-}
-
 func BenchmarkSSSP(b *testing.B) {
 	g := graph.Make(graph.FamilyER, 256, graph.UniformWeights(1, 50), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SSSP(g, i%g.N(), congest.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKSource16(b *testing.B) {
-	g := graph.Make(graph.FamilyER, 256, graph.UniformWeights(1, 50), 1)
-	sources := make([]int, 16)
-	for i := range sources {
-		sources[i] = i * 16
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := KSource(g, sources, congest.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

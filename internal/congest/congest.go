@@ -343,7 +343,8 @@ func (c *Context) NeighborIndex(id int) int {
 
 // RNG returns this node's private random stream. Streams are derived from
 // the engine seed and the node ID, so coin flips can be replayed by the
-// centralized reference constructions (DESIGN.md §5.2).
+// centralized reference constructions (cmd/sketchbench's E12 compares
+// the two label for label).
 func (c *Context) RNG() *rand.Rand { return c.rng }
 
 // Send queues msg on the edge to neighbor index i. Each edge carries at

@@ -25,7 +25,8 @@ import (
 	"distsketch/internal/graph"
 )
 
-// SyncMode selects how phase boundaries are synchronized (DESIGN.md §5.4).
+// SyncMode selects how phase boundaries are synchronized (Section 3.3;
+// cmd/sketchbench's E6 compares the modes' rounds and messages).
 type SyncMode int
 
 const (

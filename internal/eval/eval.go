@@ -1,7 +1,8 @@
 // Package eval measures the quality of distance sketches against exact
 // shortest-path distances: stretch statistics over all (or sampled) pairs,
 // ε-slack coverage (Section 4 of the paper), and average stretch
-// (Section 4.1). It is the harness behind the EXPERIMENTS.md tables.
+// (Section 4.1). It computes the stretch columns of cmd/sketchbench's
+// tables.
 package eval
 
 import (

@@ -9,7 +9,8 @@ const (
 	// Quick keeps every experiment under a couple of seconds (used by
 	// tests and iterating developers).
 	Quick Scale = iota
-	// Full is the EXPERIMENTS.md configuration.
+	// Full is the sweep of `sketchbench -scale full`: six families, n up
+	// to 512, three seeds.
 	Full
 )
 

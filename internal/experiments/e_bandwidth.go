@@ -9,8 +9,9 @@ import (
 // easily generalized if B bits are allowed ... per round"): packing B
 // announcements per message divides the queueing delay, so construction
 // rounds shrink roughly by B while the fixed point (the labels) is
-// unchanged. This is the ablation for the round-robin queue discipline
-// called out in DESIGN.md §5.3.
+// unchanged. This is the ablation for the TZ node's FIFO announcement
+// queue (tzNode.drain in internal/core); `sketchbench -exp E13` prints
+// it.
 func E13(cfg Config) *Table {
 	t := &Table{
 		Title:  "E13: bandwidth-B ablation (Section 2.2 generalization)",

@@ -1,8 +1,9 @@
-// Package experiments implements the per-theorem reproduction harness
-// (DESIGN.md §4): each experiment Ei builds sketches over a family/size
-// sweep, measures the quantity the corresponding theorem bounds, and
-// reports it next to the bound. The same code backs cmd/sketchbench and
-// the root-level benchmarks, and EXPERIMENTS.md records its output.
+// Package experiments implements the per-theorem reproduction harness:
+// each experiment Ei builds sketches over a family/size sweep, measures
+// the quantity the corresponding theorem bounds, and reports it next to
+// the bound. cmd/sketchbench prints the tables (and writes them as JSON),
+// and the root package's TestExperimentsSuite requires every bound to
+// hold.
 package experiments
 
 import (
@@ -10,15 +11,16 @@ import (
 	"strings"
 )
 
-// Table is a printable experiment result.
+// Table is a printable experiment result. Its JSON form is the
+// per-experiment record of cmd/sketchbench's -json report.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
 	// Failures collects bound violations; empty means the paper's claim
 	// held on every configuration.
-	Failures []string
+	Failures []string `json:"failures,omitempty"`
 }
 
 // AddRow appends a formatted row.

@@ -1,17 +1,29 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList: the parser must never panic on arbitrary text.
+// FuzzReadEdgeList: the parser must never panic on arbitrary text, and
+// its allocation-free line splitter must agree with strings.Fields.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("p 3 2\ne 0 1 1\ne 1 2 5\n")
 	f.Add("p 0 0\n")
 	f.Add("# nothing\n")
 	f.Add("e 0 1 1\n")
+	f.Add("p\u00a02 1\ne 0\u20281\t7 \xff\n")
 	f.Fuzz(func(t *testing.T, src string) {
+		var dst [4]string
+		for _, line := range strings.Split(src, "\n") {
+			want := strings.Fields(line)
+			n := splitFields(line, dst[:])
+			k := min(n, len(dst))
+			if n != len(want) || !slices.Equal(dst[:k], want[:min(k, len(want))]) {
+				t.Errorf("splitFields(%q) = %d %q, want %q", line, n, dst[:k], want)
+			}
+		}
 		g, err := ReadEdgeList(strings.NewReader(src))
 		if err == nil {
 			if g == nil {

@@ -81,18 +81,6 @@ func Star(n int, w WeightFn, seed uint64) *Graph {
 	return b.MustFreeze()
 }
 
-// Complete returns K_n.
-func Complete(n int, w WeightFn, seed uint64) *Graph {
-	r := rng(seed)
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.AddEdge(i, j, w(r, i, j))
-		}
-	}
-	return b.MustFreeze()
-}
-
 // Grid returns the rows x cols grid; node (i,j) has ID i*cols+j.
 func Grid(rows, cols int, w WeightFn, seed uint64) *Graph {
 	r := rng(seed)

@@ -89,17 +89,6 @@ func (g *Graph) Adj(u int) []Arc { return g.arcs[g.off[u]:g.off[u+1]:g.off[u+1]]
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int { return g.off[u+1] - g.off[u] }
 
-// MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.Degree(u); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // HasEdge reports whether the undirected edge {u,v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	_, ok := g.EdgeWeight(u, v)
@@ -152,15 +141,6 @@ func (g *Graph) Reweighted(changes []Edge) (*Graph, error) {
 		e[i].Weight = c.Weight
 	}
 	return ng, nil
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() Dist {
-	var s Dist
-	for _, e := range g.edges {
-		s = AddDist(s, e.Weight)
-	}
-	return s
 }
 
 // String implements fmt.Stringer with a short summary.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Text edge-list serialization, DIMACS-flavored, so networks measured
@@ -40,19 +41,21 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	edges := 0
 	wantEdges := -1
 	line := 0
+	var fieldBuf [4]string
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		fields := strings.Fields(text)
+		nf := splitFields(text, fieldBuf[:])
+		fields := fieldBuf[:min(nf, len(fieldBuf))]
 		switch fields[0] {
 		case "p":
 			if b != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate problem line", line)
 			}
-			if len(fields) != 3 {
+			if nf != 3 {
 				return nil, fmt.Errorf("graph: line %d: want 'p <n> <m>'", line)
 			}
 			n, err := strconv.Atoi(fields[1])
@@ -64,12 +67,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad m %q", line, fields[2])
 			}
 			b = NewBuilder(n)
+			// Capped, so a hostile header cannot force a large allocation.
+			b.edges = make([]Edge, 0, min(m, 1<<16))
 			wantEdges = m
 		case "e":
 			if b == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before problem line", line)
 			}
-			if len(fields) != 4 {
+			if nf != 4 {
 				return nil, fmt.Errorf("graph: line %d: want 'e <u> <v> <w>'", line)
 			}
 			u, err1 := strconv.Atoi(fields[1])
@@ -94,4 +99,32 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: problem line declares %d edges, found %d", wantEdges, edges)
 	}
 	return b.Freeze()
+}
+
+// splitFields splits s around runs of white space, as strings.Fields
+// does, into dst without allocating. It returns the number of fields,
+// counting those past len(dst) without storing them.
+func splitFields(s string, dst []string) int {
+	n, start := 0, -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if n < len(dst) {
+				dst[n] = s[start:i]
+			}
+			n++
+			start = -1
+		}
+	}
+	if start >= 0 {
+		if n < len(dst) {
+			dst[n] = s[start:]
+		}
+		n++
+	}
+	return n
 }

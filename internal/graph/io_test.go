@@ -83,3 +83,26 @@ func TestWriteEdgeListFormat(t *testing.T) {
 		t.Errorf("got:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
+
+// TestReadEdgeListAllocs pins the reader's allocation budget: one string
+// per line (the scanner's Text) plus a constant for the scanner buffer,
+// the edge slice sized from the problem line and Freeze's arrays.
+// Splitting each line with strings.Fields, or growing the edge slice by
+// doubling, exceeds it.
+func TestReadEdgeListAllocs(t *testing.T) {
+	g := Make(FamilyGeometric, 1024, UniformWeights(1, 100), 1)
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	lines := g.M() + 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(lines + 32); allocs > limit {
+		t.Errorf("ReadEdgeList: %.0f allocations for %d lines, want at most %.0f", allocs, lines, limit)
+	}
+}

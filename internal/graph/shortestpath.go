@@ -111,17 +111,6 @@ func APSP(g *Graph) [][]Dist {
 	return out
 }
 
-// APSPHops computes, for every pair, the minimum hop count among shortest
-// (by weight) paths. Row s is Dijkstra(g,s).Hops.
-func APSPHops(g *Graph) [][]int {
-	n := g.N()
-	out := make([][]int, n)
-	parallelFor(n, func(s int) {
-		out[s] = Dijkstra(g, s).Hops
-	})
-	return out
-}
-
 // HopDiameter returns D = max over pairs of the hop distance (edge weights
 // ignored). Returns -1 for a disconnected graph.
 func HopDiameter(g *Graph) int {
@@ -185,37 +174,6 @@ func ShortestPathDiameter(g *Graph) int {
 		}
 	}
 	return sd
-}
-
-// WeightedDiameter returns the maximum finite distance, or Inf if the graph
-// is disconnected.
-func WeightedDiameter(g *Graph) Dist {
-	n := g.N()
-	maxPer := make([]Dist, n)
-	parallelFor(n, func(s int) {
-		r := Dijkstra(g, s)
-		var m Dist
-		for _, d := range r.Dist {
-			if d == Inf {
-				m = Inf
-				break
-			}
-			if d > m {
-				m = d
-			}
-		}
-		maxPer[s] = m
-	})
-	var wd Dist
-	for s := 0; s < n; s++ {
-		if maxPer[s] == Inf {
-			return Inf
-		}
-		if maxPer[s] > wd {
-			wd = maxPer[s]
-		}
-	}
-	return wd
 }
 
 // MultiSourceDijkstra computes, for every node, the distance to the nearest

@@ -150,7 +150,7 @@ func (ft *replicaFaultTransport) requestsSince(mark int) int {
 	return len(ft.hosts) - mark
 }
 
-func hostOf(t *testing.T, base string) string {
+func hostOf(t testing.TB, base string) string {
 	t.Helper()
 	u, err := url.Parse(base)
 	if err != nil {
@@ -164,7 +164,7 @@ func hostOf(t *testing.T, base string) string {
 // its own mmap handle on the same shard envelope — byte-identical
 // replicas, exactly what a replica set promises. Returns the full set,
 // the RouterShard groups, and the per-shard replica base URLs.
-func buildReplicatedFixture(t *testing.T, shards, nReplicas int) (*distsketch.SketchSet, []RouterShard, [][]string) {
+func buildReplicatedFixture(t testing.TB, shards, nReplicas int) (*distsketch.SketchSet, []RouterShard, [][]string) {
 	t.Helper()
 	full, bases, ranges := buildShardedFixture(t, shards)
 	group := make([][]string, shards)
@@ -203,7 +203,7 @@ func buildReplicatedFixture(t *testing.T, shards, nReplicas int) (*distsketch.Sk
 
 // newFaultRouter builds a router with fast fault-test tunings layered
 // under the caller's overrides and mounts it on a test server.
-func newFaultRouter(t *testing.T, shards []RouterShard, opts RouterOptions) (*Router, *httptest.Server) {
+func newFaultRouter(t testing.TB, shards []RouterShard, opts RouterOptions) (*Router, *httptest.Server) {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = discardLogger()

@@ -27,7 +27,7 @@ import (
 // it into shards shard envelopes, and starts one test server per shard.
 // It returns the full set, the shard servers' base URLs, and the shard
 // ranges.
-func buildShardedFixture(t *testing.T, shards int) (*distsketch.SketchSet, []string, []distsketch.ShardRange) {
+func buildShardedFixture(t testing.TB, shards int) (*distsketch.SketchSet, []string, []distsketch.ShardRange) {
 	t.Helper()
 	g, err := distsketch.NewRandomWeightedGraph(distsketch.FamilyGeometric, 100, 10, 100, 13)
 	if err != nil {

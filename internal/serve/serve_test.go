@@ -79,7 +79,7 @@ func newTestServer(t *testing.T, set *distsketch.SketchSet, opts Options) *httpt
 }
 
 // getJSON issues a GET and decodes the reply, returning the status code.
-func getJSON(t *testing.T, url string, into any) int {
+func getJSON(t testing.TB, url string, into any) int {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {

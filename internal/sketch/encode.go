@@ -57,8 +57,8 @@ func getDist(buf *bytes.Reader) (graph.Dist, error) {
 
 // MarshalTZ encodes a TZ label. Bunch items are emitted in their stored
 // (sorted, unique) order — the same ascending-ID order the old map-backed
-// encoder produced via BunchNodes, so the wire bytes are unchanged across
-// the sorted-slice refactor.
+// encoder produced by sorting its keys, so the wire bytes are unchanged
+// across the sorted-slice refactor.
 func MarshalTZ(l *TZLabel) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(TagTZ)

@@ -43,15 +43,6 @@ func (*GracefulLabel) labelTag() byte { return TagGraceful }
 // LabelTag returns the wire-format tag byte of a label value.
 func LabelTag(l Label) byte { return l.labelTag() }
 
-// Tag returns the wire-format tag of an encoded label without decoding
-// it, or 0 for empty input.
-func Tag(data []byte) byte {
-	if len(data) == 0 {
-		return 0
-	}
-	return data[0]
-}
-
 // Marshal encodes any label in its wire format.
 func Marshal(l Label) []byte {
 	switch v := l.(type) {

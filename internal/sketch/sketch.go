@@ -378,18 +378,6 @@ func CanonicalizeBunch(items []BunchItem) []BunchItem {
 	return out
 }
 
-// BunchNodes returns the bunch member IDs in ascending order. The slice
-// is freshly allocated but never re-sorted — the sorted representation
-// makes it a straight copy of the item keys. Hot paths iterate Bunch
-// directly instead.
-func (l *TZLabel) BunchNodes() []int {
-	ids := make([]int, len(l.Bunch))
-	for i, it := range l.Bunch {
-		ids[i] = it.Node
-	}
-	return ids
-}
-
 // Validate checks structural invariants of a label (used by tests),
 // including the sorted-unique bunch representation invariant.
 func (l *TZLabel) Validate() error {

@@ -87,7 +87,8 @@ func BuildHierarchy(g *graph.Graph, k int, levels []int) (*Oracle, error) {
 	// level-i bunch members, and p_{i+1}(u). Computing pivots this way —
 	// rather than from the multi-source Dijkstra — matches exactly what
 	// a distributed node can compute locally from its phase results
-	// (DESIGN.md §5.5/5.6), while yielding the same distances d(u, A_i).
+	// (cmd/sketchbench's E12 checks that the two agree pivot for pivot),
+	// while yielding the same distances d(u, A_i).
 	for u := 0; u < n; u++ {
 		o.Labels[u].Pivots = PivotChain(o.Labels[u].Bunch, u, levels[u], k)
 	}
