@@ -4,7 +4,7 @@ package distsketch
 // kind, the query hot path and set startup. The paper's own quantities
 // (rounds, messages, words and stretch against each theorem's bound) are
 // the E-series in internal/experiments: cmd/sketchbench prints them and
-// TestExperimentsSuite requires every bound to hold.
+// TestAllExperimentsQuick requires every bound to hold.
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 
 	"distsketch/internal/congest"
 	"distsketch/internal/core"
-	"distsketch/internal/experiments"
 	"distsketch/internal/graph"
 )
 
@@ -208,19 +207,6 @@ func BenchmarkLoadSketchSet(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/label")
 			})
-		}
-	}
-}
-
-// TestExperimentsSuite runs the full quick-scale reproduction sweep from
-// the root package, mirroring cmd/sketchbench.
-func TestExperimentsSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep skipped in -short mode")
-	}
-	for _, tab := range experiments.All(experiments.Quick) {
-		if !tab.OK() {
-			t.Errorf("experiment failed:\n%s", tab.String())
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // TestGoldenBuildExecution pins each construction's execution across
 // versions: the exact CONGEST cost (rounds, messages, words) and the
 // SHA-256 of the saved v2 envelope, for every kind and for the TZ
-// execution variants (asynchronous delivery, bandwidth batching). The
+// execution variants (asynchronous delivery, bandwidth batching, in-band
+// termination detection). The
 // scheduler-equivalence suite compares executions within one version and
 // the envelope goldens pin hand-built sets; this test is what fails when
 // a change to a node program or the engine alters a real build at all.
@@ -34,6 +35,12 @@ func TestGoldenBuildExecution(t *testing.T) {
 		{"tz-batch", Options{Kind: KindTZ, K: 3, Seed: 7, BandwidthBatch: 4},
 			Stats{Rounds: 37, Messages: 113064, Words: 647818},
 			"75977407d7e04ec8483fdfc5f2fb39375b9d25aebea861b70262e53387da4f45"},
+		{"tz-detection", Options{Kind: KindTZ, K: 3, Seed: 7, Detection: true},
+			Stats{Rounds: 208, Messages: 473410, Words: 1385668},
+			"50d4c9a8593fcd41ec2fadeb7ee05fff1f199365a7f76fa8752b0cc06914bce9"},
+		{"tz-detection-async", Options{Kind: KindTZ, K: 3, Seed: 7, Detection: true, MaxDelay: 3},
+			Stats{Rounds: 301, Messages: 564746, Words: 1659676},
+			"40131107531699cff95ee3f4dd0573d0627c790fdfa156e5b270277aa2e1b104"},
 		{"cdg", Options{Kind: KindCDG, K: 3, Seed: 7},
 			Stats{Rounds: 108, Messages: 162319, Words: 479425},
 			"f22f3f400f0cb3416503f2d1ae4289b25a782fb23aedbd1125afee6044505f58"},

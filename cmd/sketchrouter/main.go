@@ -106,8 +106,7 @@ func main() {
 	}
 	var specs []string
 	for _, b := range strings.Split(*shardList, ",") {
-		b = strings.TrimRight(strings.TrimSpace(b), "/")
-		if b != "" {
+		if b = strings.TrimSpace(b); b != "" {
 			specs = append(specs, b)
 		}
 	}

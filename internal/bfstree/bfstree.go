@@ -170,50 +170,24 @@ type treeNode struct {
 	doneSent    bool
 
 	in, out int
-	out2    *outFIFO
-}
-
-// outFIFO is a minimal per-edge FIFO (bfstree traffic is light; at most a
-// couple of messages per edge overall, but replies and tokens can collide
-// on an edge in the same round).
-type outFIFO struct {
-	q [][]congest.Message
-}
-
-func newOutFIFO(deg int) *outFIFO { return &outFIFO{q: make([][]congest.Message, deg)} }
-
-func (o *outFIFO) push(i int, m congest.Message) { o.q[i] = append(o.q[i], m) }
-
-func (o *outFIFO) drain(ctx *congest.Context) {
-	pending := false
-	for i := range o.q {
-		if len(o.q[i]) == 0 {
-			continue
-		}
-		ctx.Send(i, o.q[i][0])
-		copy(o.q[i], o.q[i][1:])
-		o.q[i] = o.q[i][:len(o.q[i])-1]
-		if len(o.q[i]) > 0 {
-			pending = true
-		}
-	}
-	if pending {
-		ctx.WakeNextRound()
-	}
+	// sends queues outgoing traffic per edge: it is light (a couple of
+	// messages per edge overall), but replies and tokens can collide on
+	// an edge in the same round.
+	sends congest.OutQueues
 }
 
 func (nd *treeNode) Init(ctx *congest.Context) {
-	nd.out2 = newOutFIFO(ctx.Degree())
+	nd.sends = congest.NewOutQueues(ctx.Degree())
 	nd.parentIdx = -1
 	nd.subtreeSize = 1
 	if nd.root {
 		nd.expected = ctx.Degree()
 		for i := 0; i < ctx.Degree(); i++ {
-			nd.out2.push(i, tokenMsg{Depth: 1})
+			nd.sends.Push(i, tokenMsg{Depth: 1})
 		}
 		nd.maybeFinish(ctx)
 	}
-	nd.out2.drain(ctx)
+	nd.sends.Flush(ctx, nil)
 }
 
 func (nd *treeNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
@@ -222,17 +196,17 @@ func (nd *treeNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 		switch m := in.Payload.(type) {
 		case tokenMsg:
 			if nd.root || nd.hasParent {
-				nd.out2.push(from, replyMsg{Accept: false})
+				nd.sends.Push(from, replyMsg{Accept: false})
 				continue
 			}
 			nd.hasParent = true
 			nd.parentIdx = from
 			nd.depth = m.Depth
-			nd.out2.push(from, replyMsg{Accept: true})
+			nd.sends.Push(from, replyMsg{Accept: true})
 			nd.expected = ctx.Degree() - 1
 			for i := 0; i < ctx.Degree(); i++ {
 				if i != from {
-					nd.out2.push(i, tokenMsg{Depth: m.Depth + 1})
+					nd.sends.Push(i, tokenMsg{Depth: m.Depth + 1})
 				}
 			}
 			nd.maybeFinish(ctx)
@@ -259,7 +233,7 @@ func (nd *treeNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 			panic(fmt.Sprintf("bfstree: node %d got %T", nd.id, in.Payload))
 		}
 	}
-	nd.out2.drain(ctx)
+	nd.sends.Flush(ctx, nil)
 }
 
 func (nd *treeNode) maybeFinish(ctx *congest.Context) {
@@ -276,7 +250,7 @@ func (nd *treeNode) maybeFinish(ctx *congest.Context) {
 		nd.assignChildIntervals()
 		return
 	}
-	nd.out2.push(nd.parentIdx, doneMsg{SubtreeSize: nd.subtreeSize})
+	nd.sends.Push(nd.parentIdx, doneMsg{SubtreeSize: nd.subtreeSize})
 }
 
 // assignChildIntervals hands each child a contiguous DFS interval right
@@ -285,7 +259,7 @@ func (nd *treeNode) assignChildIntervals() {
 	next := nd.in + 1
 	for i, c := range nd.children {
 		size := nd.childSizes[i]
-		nd.out2.push(c, intervalMsg{In: next, Out: next + size})
+		nd.sends.Push(c, intervalMsg{In: next, Out: next + size})
 		next += size
 	}
 }

@@ -87,7 +87,7 @@ type Config struct {
 	// Sequential forces single-goroutine execution (useful under -race and
 	// for the determinism tests). Default is parallel.
 	Sequential bool
-	// Seed is the master seed from which per-node RNG streams derive.
+	// Seed seeds the delivery delays of asynchronous mode (MaxDelay).
 	Seed uint64
 	// MaxDelay enables asynchronous delivery, the paper's stated future
 	// direction (Section 5): each message is independently delayed by a
@@ -256,7 +256,6 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 			weights:   wts,
 			rev:       rev,
 			out:       make([]Message, len(adj)),
-			rng:       rand.New(rand.NewPCG(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)),
 		}
 		if e.async {
 			ctx.lastDue = make([]int, len(adj))
@@ -279,9 +278,6 @@ func (e *Engine) Close() {
 	runtime.SetFinalizer(e, nil)
 }
 
-// Graph returns the underlying topology.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // Stats returns the accumulated cost counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -289,8 +285,8 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) Node(u int) Node { return e.nodes[u] }
 
 // Context is a node's handle to the network: identity, local topology
-// knowledge, randomness, and the per-round send interface. A Context is
-// only valid inside the Init/Round call it is passed to.
+// knowledge, and the per-round send interface. A Context is only valid
+// inside the Init/Round call it is passed to.
 type Context struct {
 	// No reference back to the Engine (see Engine.wakeCount): the Context
 	// carries the few engine facts it needs by value or via shared
@@ -302,7 +298,6 @@ type Context struct {
 	neighbors []int // sorted neighbor IDs
 	weights   []graph.Dist
 	rev       []int // rev[i] = this node's index in neighbors[i]'s adjacency
-	rng       *rand.Rand
 
 	round   int
 	out     []Message // out[i] = message queued for neighbors[i] this round
@@ -341,12 +336,6 @@ func (c *Context) NeighborIndex(id int) int {
 	return -1
 }
 
-// RNG returns this node's private random stream. Streams are derived from
-// the engine seed and the node ID, so coin flips can be replayed by the
-// centralized reference constructions (cmd/sketchbench's E12 compares
-// the two label for label).
-func (c *Context) RNG() *rand.Rand { return c.rng }
-
 // Send queues msg on the edge to neighbor index i. Each edge carries at
 // most one message per direction per round and each message at most
 // MaxWords words; violations panic, because they mean the algorithm does
@@ -368,15 +357,6 @@ func (c *Context) check(msg Message) {
 	if w := msg.Words(); w > c.maxWords {
 		panic(fmt.Sprintf("congest: node %d message of %d words exceeds budget %d", c.id, w, c.maxWords))
 	}
-}
-
-// SendTo queues msg for the neighbor with the given ID.
-func (c *Context) SendTo(id int, msg Message) {
-	i := c.NeighborIndex(id)
-	if i < 0 {
-		panic(fmt.Sprintf("congest: node %d has no neighbor %d", c.id, id))
-	}
-	c.Send(i, msg)
 }
 
 // Broadcast queues msg on every incident edge. It occupies the whole

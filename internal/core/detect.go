@@ -5,7 +5,6 @@ import (
 
 	"distsketch/internal/congest"
 	"distsketch/internal/graph"
-	"distsketch/internal/sketch"
 )
 
 // detectNode runs the distributed Thorup–Zwick construction with the full
@@ -30,11 +29,10 @@ import (
 // echoed immediately (Section 3.3's third case). A non-improving message
 // is echoed immediately (the first two cases).
 type detectNode struct {
-	id       int
-	k        int
-	topLevel int
+	phaseHarvest
+	k int
 
-	out *outQueues
+	out congest.OutQueues
 
 	// BFS tree state.
 	isRoot          bool
@@ -50,18 +48,11 @@ type detectNode struct {
 	// Phase state.
 	phase            int // current phase; k = in setup; -1 = finished
 	started          bool
-	thresh           graph.Dist
 	srcs             map[int]*srcState
 	selfComplete     bool
 	completeChildren int
 	completeSent     bool
 	buffered         map[int][]bufferedData
-
-	// Results. Bunch items collect in the items scratch slice (arbitrary
-	// per-phase map order); the harvest installs them with SetBunch.
-	label     *sketch.TZLabel
-	items     []sketch.BunchItem
-	chainBest pivotCand
 
 	// Accounting (summed by the runner after the run).
 	dataSent    []int64 // per phase
@@ -90,16 +81,12 @@ type srcState struct {
 
 func newDetectNode(id, n, k, topLevel int) *detectNode {
 	return &detectNode{
-		id:              id,
+		phaseHarvest:    newPhaseHarvest(id, k, topLevel),
 		k:               k,
-		topLevel:        topLevel,
 		isRoot:          id == n-1,
 		parentIdx:       -1,
 		phase:           k, // "in setup"
-		thresh:          graph.Inf,
 		buffered:        make(map[int][]bufferedData),
-		label:           sketch.NewTZLabel(id, k),
-		chainBest:       pivotCand{dist: graph.Inf, node: -1},
 		dataSent:        make([]int64, k),
 		echoSent:        make([]int64, k),
 		phaseStartRound: make([]int, k),
@@ -107,15 +94,15 @@ func newDetectNode(id, n, k, topLevel int) *detectNode {
 }
 
 func (nd *detectNode) Init(ctx *congest.Context) {
-	nd.out = newOutQueues(ctx.Degree())
+	nd.out = congest.NewOutQueues(ctx.Degree())
 	if nd.isRoot {
 		nd.repliesExpected = ctx.Degree()
 		for i := 0; i < ctx.Degree(); i++ {
-			nd.out.pushMsg(i, bfsMsg{})
+			nd.control(i, bfsMsg{})
 		}
 		nd.checkBFSDone(ctx) // handles the n=1 network
 	}
-	nd.drainAndWake(ctx)
+	nd.out.Flush(ctx, nd.data)
 }
 
 func (nd *detectNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
@@ -162,23 +149,23 @@ func (nd *detectNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 			panic(fmt.Sprintf("core: node %d: unexpected message %T", nd.id, in.Payload))
 		}
 	}
-	nd.drainAndWake(ctx)
+	nd.out.Flush(ctx, nd.data)
 }
 
 // --- BFS tree construction -------------------------------------------------
 
 func (nd *detectNode) onBFS(ctx *congest.Context, from int) {
 	if nd.isRoot || nd.hasParent {
-		nd.out.pushMsg(from, bfsReplyMsg{Accept: false})
+		nd.control(from, bfsReplyMsg{Accept: false})
 		return
 	}
 	nd.hasParent = true
 	nd.parentIdx = from
-	nd.out.pushMsg(from, bfsReplyMsg{Accept: true})
+	nd.control(from, bfsReplyMsg{Accept: true})
 	nd.repliesExpected = ctx.Degree() - 1
 	for i := 0; i < ctx.Degree(); i++ {
 		if i != from {
-			nd.out.pushMsg(i, bfsMsg{})
+			nd.control(i, bfsMsg{})
 		}
 	}
 	nd.checkBFSDone(ctx)
@@ -201,7 +188,7 @@ func (nd *detectNode) checkBFSDone(ctx *congest.Context) {
 		return
 	}
 	nd.bfsDoneSent = true
-	nd.out.pushMsg(nd.parentIdx, bfsDoneMsg{})
+	nd.control(nd.parentIdx, bfsDoneMsg{})
 }
 
 // --- Phase control ----------------------------------------------------------
@@ -210,7 +197,7 @@ func (nd *detectNode) checkBFSDone(ctx *congest.Context) {
 // phase i locally (used by the root, and by onStart for interior nodes).
 func (nd *detectNode) beginPhaseBroadcast(ctx *congest.Context, i int) {
 	for _, c := range nd.children {
-		nd.out.pushMsg(c, startMsg{Phase: i})
+		nd.control(c, startMsg{Phase: i})
 	}
 	if nd.isRoot {
 		nd.phaseStartRound[i] = ctx.Round()
@@ -226,7 +213,7 @@ func (nd *detectNode) onStart(ctx *congest.Context, i int) {
 		nd.harvestPhase()
 	}
 	for _, c := range nd.children {
-		nd.out.pushMsg(c, startMsg{Phase: i})
+		nd.control(c, startMsg{Phase: i})
 	}
 	nd.beginPhase(ctx, i)
 }
@@ -241,7 +228,7 @@ func (nd *detectNode) beginPhase(ctx *congest.Context, i int) {
 	if nd.topLevel == i {
 		st := &srcState{best: 0, parentNbr: -1}
 		nd.srcs[nd.id] = st
-		st.pendingEdges = nd.out.pushSrcAll(nd.id)
+		st.pendingEdges = nd.out.PushSourceAll(nd.id)
 		nd.checkSrcComplete(ctx, nd.id, st) // degree-0 networks
 	}
 	if buf := nd.buffered[i]; len(buf) > 0 {
@@ -254,27 +241,12 @@ func (nd *detectNode) beginPhase(ctx *congest.Context, i int) {
 }
 
 // harvestPhase folds the finished phase into the label (bunch entries,
-// pivot chain, next threshold) — identical bookkeeping to tzNode.
+// pivot chain, next threshold) with the bookkeeping tzNode uses.
 func (nd *detectNode) harvestPhase() {
-	i := nd.phase
-	cand := nd.chainBest
 	for v, st := range nd.srcs {
-		if v == nd.id {
-			continue
-		}
-		nd.items = append(nd.items, sketch.BunchItem{Node: v, Dist: st.best, Level: i})
-		if c := (pivotCand{dist: st.best, node: v}); lessCand(c, cand) {
-			cand = c
-		}
+		nd.record(nd.phase, v, st.best)
 	}
-	if nd.topLevel >= i {
-		if c := (pivotCand{dist: 0, node: nd.id}); lessCand(c, cand) {
-			cand = c
-		}
-	}
-	nd.label.Pivots[i] = sketch.Pivot{Node: cand.node, Dist: cand.dist}
-	nd.chainBest = cand
-	nd.thresh = cand.dist
+	nd.closePhase(nd.phase)
 	nd.srcs = nil
 	nd.started = false
 }
@@ -288,7 +260,7 @@ func (nd *detectNode) checkPhaseComplete(ctx *congest.Context) {
 	}
 	nd.completeSent = true
 	if !nd.isRoot {
-		nd.out.pushMsg(nd.parentIdx, completeMsg{Phase: nd.phase})
+		nd.control(nd.parentIdx, completeMsg{Phase: nd.phase})
 		return
 	}
 	// Root: the phase is globally complete.
@@ -307,7 +279,7 @@ func (nd *detectNode) onFinish(ctx *congest.Context) {
 		nd.harvestPhase()
 	}
 	for _, c := range nd.children {
-		nd.out.pushMsg(c, finishMsg{})
+		nd.control(c, finishMsg{})
 	}
 	nd.phase = -1
 }
@@ -323,7 +295,7 @@ func (nd *detectNode) onData(ctx *congest.Context, from int, m dataMsg) {
 	}
 	if d >= nd.thresh || d >= cur {
 		// Not useful: echo immediately (cases 1-2 of Section 3.3).
-		nd.out.pushMsg(from, echoMsg{Phase: nd.phase, Src: m.Src, Dist: m.Dist})
+		nd.echo(from, m.Src, m.Dist)
 		return
 	}
 	if st == nil {
@@ -333,13 +305,13 @@ func (nd *detectNode) onData(ctx *congest.Context, from int, m dataMsg) {
 	if st.owes {
 		// The previously accepted message is superseded: release its
 		// echo now (case 3 of Section 3.3).
-		nd.out.pushMsg(st.parentNbr, echoMsg{Phase: nd.phase, Src: m.Src, Dist: st.parentVal})
+		nd.echo(st.parentNbr, m.Src, st.parentVal)
 	}
 	st.best = d
 	st.parentNbr = from
 	st.parentVal = m.Dist
 	st.owes = true
-	st.pendingEdges += nd.out.pushSrcAll(m.Src)
+	st.pendingEdges += nd.out.PushSourceAll(m.Src)
 }
 
 func (nd *detectNode) onEcho(ctx *congest.Context, m echoMsg) {
@@ -360,7 +332,7 @@ func (nd *detectNode) checkSrcComplete(ctx *congest.Context, src int, st *srcSta
 		return
 	}
 	if st.owes {
-		nd.out.pushMsg(st.parentNbr, echoMsg{Phase: nd.phase, Src: src, Dist: st.parentVal})
+		nd.echo(st.parentNbr, src, st.parentVal)
 		st.owes = false
 	}
 	if src == nd.id && !nd.selfComplete {
@@ -371,25 +343,26 @@ func (nd *detectNode) checkSrcComplete(ctx *congest.Context, src int, st *srcSta
 
 // --- Transmission -------------------------------------------------------------
 
-func (nd *detectNode) drainAndWake(ctx *congest.Context) {
-	nd.out.drain(func(edge int, e qEntry) {
-		if e.msg == nil {
-			st := nd.srcs[e.src]
-			ctx.Send(edge, dataMsg{Phase: nd.phase, Src: e.src, Dist: st.best})
-			st.sent++
-			st.pendingEdges--
-			nd.dataSent[nd.phase]++
-			return
-		}
-		switch e.msg.(type) {
-		case echoMsg:
-			nd.echoSent[nd.phase]++
-		default:
-			nd.controlSent++
-		}
-		ctx.Send(edge, e.msg)
-	})
-	if nd.out.pending() {
-		ctx.WakeNextRound()
-	}
+// control queues a BFS-tree or phase-control message on edge i.
+func (nd *detectNode) control(i int, m congest.Message) {
+	nd.controlSent++
+	nd.out.Push(i, m)
+}
+
+// echo queues an ECHO for src's announcement of dist on edge i. It is
+// counted in the phase that queues it, which is the phase that sends it:
+// a phase completes only after every echo of it has been received.
+func (nd *detectNode) echo(i, src int, dist graph.Dist) {
+	nd.echoSent[nd.phase]++
+	nd.out.Push(i, echoMsg{Phase: nd.phase, Src: src, Dist: dist})
+}
+
+// data builds src's announcement as it leaves on an edge, with the
+// current best distance.
+func (nd *detectNode) data(src int) congest.Message {
+	st := nd.srcs[src]
+	st.sent++
+	st.pendingEdges--
+	nd.dataSent[nd.phase]++
+	return dataMsg{Phase: nd.phase, Src: src, Dist: st.best}
 }

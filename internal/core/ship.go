@@ -31,7 +31,7 @@ type shipNode struct {
 	label    *sketch.TZLabel // the reconstructed (or own) label
 	expected int             // total chunks, from labelEndMsg; -1 unknown
 	received int
-	out      *outQueues
+	out      congest.OutQueues
 }
 
 // labelChunks serializes a TZ label into shipping chunks.
@@ -64,15 +64,15 @@ func (s *shipNode) applyChunk(m labelChunkMsg) {
 }
 
 func (s *shipNode) Init(ctx *congest.Context) {
-	s.out = newOutQueues(ctx.Degree())
+	s.out = congest.NewOutQueues(ctx.Degree())
 	if s.isNet {
 		// Own label already present; stream it to the cell children.
 		chunks := labelChunks(s.label)
 		for _, c := range s.children {
 			for _, m := range chunks {
-				s.out.pushMsg(c, m)
+				s.out.Push(c, m)
 			}
-			s.out.pushMsg(c, labelEndMsg{Total: len(chunks)})
+			s.out.Push(c, labelEndMsg{Total: len(chunks)})
 		}
 		s.expected = len(chunks)
 		s.received = len(chunks)
@@ -80,7 +80,7 @@ func (s *shipNode) Init(ctx *congest.Context) {
 		s.label = sketch.NewTZLabel(s.owner, s.k)
 		s.expected = -1
 	}
-	s.drainAndWake(ctx)
+	s.out.Flush(ctx, nil)
 }
 
 func (s *shipNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
@@ -90,25 +90,18 @@ func (s *shipNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 			s.applyChunk(m)
 			s.received++
 			for _, c := range s.children {
-				s.out.pushMsg(c, m)
+				s.out.Push(c, m)
 			}
 		case labelEndMsg:
 			s.expected = m.Total
 			for _, c := range s.children {
-				s.out.pushMsg(c, labelEndMsg{Total: m.Total})
+				s.out.Push(c, labelEndMsg{Total: m.Total})
 			}
 		default:
 			panic(fmt.Sprintf("core: ship node %d got %T", s.id, in.Payload))
 		}
 	}
-	s.drainAndWake(ctx)
-}
-
-func (s *shipNode) drainAndWake(ctx *congest.Context) {
-	s.out.drain(func(edge int, e qEntry) { ctx.Send(edge, e.msg) })
-	if s.out.pending() {
-		ctx.WakeNextRound()
-	}
+	s.out.Flush(ctx, nil)
 }
 
 func (s *shipNode) complete() bool {

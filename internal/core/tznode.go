@@ -14,26 +14,66 @@ import (
 // startPhase/finishPhase; the in-band Section 3.3 protocol lives in
 // detectNode (detect.go).
 type tzNode struct {
+	phaseHarvest
+	batch int // announcements per message (bandwidth-B mode; ≥ 1)
+
+	phase int     // current phase, or -1 outside phases
+	best  tzTable // source -> best distance seen this phase
+	queue []int   // best entries awaiting broadcast, oldest first
+	head  int     // queue[head] is the next entry to send
+}
+
+// phaseHarvest is the per-node result state tzNode and detectNode share,
+// with the phase-end step of Section 3.2 that fills it: every source
+// accepted in phase i but the node itself becomes a level-i bunch item,
+// and the pivot chain extends downward with p_i(u), whose distance
+// d(u, A_i) is the threshold of phase i-1.
+type phaseHarvest struct {
 	id       int
-	k        int
-	topLevel int // largest i with this node ∈ A_i; -1 if not in A_0
-	batch    int // announcements per message (bandwidth-B mode; ≥ 1)
+	topLevel int        // largest i with this node ∈ A_i; -1 if not in A_0
+	thresh   graph.Dist // d(u, A_{i+1}) for the running phase i
 
-	phase  int        // current phase, or -1 outside phases
-	thresh graph.Dist // d(u, A_{phase+1}), fixed for the phase
-	best   tzTable    // source -> best distance seen this phase
-	queue  []int      // best entries awaiting broadcast, oldest first
-	head   int        // queue[head] is the next entry to send
-
-	// Results accumulated across phases. Bunch items may collect in the
-	// items scratch slice in any order: the harvest installs them with
-	// SetBunch, which sorts once per label, and pivot ties break on node
-	// id.
+	// Bunch items may collect in the items scratch slice in any order:
+	// the runner installs them with SetBunch, which sorts once per label,
+	// and pivot ties break on node id.
 	label *sketch.TZLabel
 	items []sketch.BunchItem
-	// chainBest is the running (dist, id) lexicographic minimum over
-	// levels >= current+1, used to extend the pivot chain downward.
+	// chainBest is the running (dist, id) lexicographic minimum over the
+	// levels harvested so far, used to extend the pivot chain downward.
 	chainBest pivotCand
+}
+
+func newPhaseHarvest(id, k, topLevel int) phaseHarvest {
+	return phaseHarvest{
+		id:        id,
+		topLevel:  topLevel,
+		thresh:    graph.Inf,
+		label:     sketch.NewTZLabel(id, k),
+		chainBest: pivotCand{dist: graph.Inf, node: -1},
+	}
+}
+
+// record harvests source src, accepted at distance dist in phase i.
+func (h *phaseHarvest) record(i, src int, dist graph.Dist) {
+	if src == h.id {
+		return
+	}
+	h.items = append(h.items, sketch.BunchItem{Node: src, Dist: dist, Level: i})
+	if c := (pivotCand{dist: dist, node: src}); lessCand(c, h.chainBest) {
+		h.chainBest = c
+	}
+}
+
+// closePhase ends phase i once every source is recorded: the node itself
+// is a pivot candidate if it is in A_i, and p_i(u) is the chain minimum.
+func (h *phaseHarvest) closePhase(i int) {
+	if h.topLevel >= i {
+		if c := (pivotCand{dist: 0, node: h.id}); lessCand(c, h.chainBest) {
+			h.chainBest = c
+		}
+	}
+	h.label.Pivots[i] = sketch.Pivot{Node: h.chainBest.node, Dist: h.chainBest.dist}
+	h.thresh = h.chainBest.dist
 }
 
 // tzBest is a source's best distance this phase, with whether it is
@@ -118,14 +158,9 @@ func newTZNode(id, k, topLevel, batch int) *tzNode {
 		batch = 1
 	}
 	return &tzNode{
-		id:        id,
-		k:         k,
-		topLevel:  topLevel,
-		batch:     batch,
-		phase:     -1,
-		thresh:    graph.Inf,
-		label:     sketch.NewTZLabel(id, k),
-		chainBest: pivotCand{dist: graph.Inf, node: -1},
+		phaseHarvest: newPhaseHarvest(id, k, topLevel),
+		batch:        batch,
+		phase:        -1,
 	}
 }
 
@@ -144,30 +179,13 @@ func (nd *tzNode) startPhase(i int) {
 	}
 }
 
-// finishPhase harvests phase i results: every accepted source v (other
-// than the node itself) becomes a bunch entry of level i, the pivot chain
-// is extended with p_i(u), and the threshold d(u, A_i) for phase i-1 is
-// the pivot's distance.
+// finishPhase harvests phase i: every accepted source is recorded and the
+// pivot chain extended (phaseHarvest).
 func (nd *tzNode) finishPhase() {
-	i := nd.phase
-	cand := nd.chainBest
 	for _, b := range nd.best.entries {
-		if b.src == nd.id {
-			continue
-		}
-		nd.items = append(nd.items, sketch.BunchItem{Node: b.src, Dist: b.dist, Level: i})
-		if c := (pivotCand{dist: b.dist, node: b.src}); lessCand(c, cand) {
-			cand = c
-		}
+		nd.record(nd.phase, b.src, b.dist)
 	}
-	if nd.topLevel >= i {
-		if c := (pivotCand{dist: 0, node: nd.id}); lessCand(c, cand) {
-			cand = c
-		}
-	}
-	nd.label.Pivots[i] = sketch.Pivot{Node: cand.node, Dist: cand.dist}
-	nd.chainBest = cand
-	nd.thresh = cand.dist // d(u, A_i), the threshold for phase i-1
+	nd.closePhase(nd.phase)
 	nd.phase = -1
 	nd.queue, nd.head = nd.queue[:0], 0
 }

@@ -51,15 +51,21 @@ type endpointStream struct {
 // is read-only; improvements accumulate in a private delta map, so a run
 // that errors or is canceled mid-repair leaves the caller's labels
 // untouched (and the final merge pays only for entries that changed).
+//
+// Step 3 is a flood like tzNode's: every improvement is announced on
+// every edge, so one queue per node stands for a FIFO per edge, and a
+// source improved while queued is sent once, with its newest distance.
+// A changed arc carries its endpoint stream only in rounds when that
+// queue is empty.
 type updateNode struct {
-	id    int
 	base  *sketch.LandmarkLabel // previous label, never mutated
 	delta map[int]graph.Dist    // improvements discovered during repair
 
 	streams []endpointStream // one per incident changed edge; empty for most nodes
 
-	fifo   [][]int
-	inFifo []map[int]bool
+	queue  []int        // improved sources awaiting broadcast, oldest first
+	head   int          // queue[head] is the next source to send
+	queued map[int]bool // the sources in queue[head:]
 }
 
 type streamMsg struct {
@@ -79,104 +85,56 @@ func (nd *updateNode) dist(src int) (graph.Dist, bool) {
 	return nd.base.Get(src)
 }
 
-// streamAt returns the stream assigned to adjacency index arc, or nil.
-// Linear scan: only changed-edge endpoints carry streams, and each holds
-// one per incident changed edge.
-func (nd *updateNode) streamAt(arc int) *endpointStream {
-	for i := range nd.streams {
-		if nd.streams[i].arc == arc {
-			return &nd.streams[i]
-		}
-	}
-	return nil
-}
-
 func (nd *updateNode) Init(ctx *congest.Context) {
-	deg := ctx.Degree()
-	nd.fifo = make([][]int, deg)
-	nd.inFifo = make([]map[int]bool, deg)
-	for i := 0; i < deg; i++ {
-		nd.inFifo[i] = make(map[int]bool)
-	}
-	for i := range nd.streams {
-		if len(nd.streams[i].backlog) > 0 {
-			ctx.WakeNextRound()
-			break
-		}
+	if nd.streaming() {
+		ctx.WakeNextRound()
 	}
 }
 
 func (nd *updateNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 	for _, in := range inbox {
 		m := in.Payload.(streamMsg)
-		w := in.Edge
-		d := graph.AddDist(m.Dist, ctx.WeightTo(w))
+		d := graph.AddDist(m.Dist, ctx.WeightTo(in.Edge))
 		if cur, ok := nd.dist(m.Src); !ok || d < cur {
 			nd.delta[m.Src] = d
-			nd.enqueueAll(m.Src)
-		}
-	}
-	nd.drain(ctx)
-}
-
-func (nd *updateNode) enqueueAll(src int) {
-	for i := range nd.fifo {
-		if !nd.inFifo[i][src] {
-			nd.inFifo[i][src] = true
-			nd.fifo[i] = append(nd.fifo[i], src)
-		}
-	}
-}
-
-func (nd *updateNode) drain(ctx *congest.Context) {
-	pending := false
-	for i := range nd.fifo {
-		// Each changed edge first carries its endpoint's streamed backlog
-		// (step 2); improvements share it afterwards.
-		st := nd.streamAt(i)
-		if st != nil && len(st.backlog) > 0 && len(nd.fifo[i]) == 0 {
-			e := st.backlog[0]
-			st.backlog = st.backlog[1:]
-			ctx.Send(i, streamMsg{Src: e.Src, Dist: e.Dist})
-			if len(st.backlog) > 0 {
-				pending = true
+			if !nd.queued[m.Src] {
+				nd.queued[m.Src] = true
+				nd.queue = append(nd.queue, m.Src)
 			}
-			continue
-		}
-		if len(nd.fifo[i]) == 0 {
-			continue
-		}
-		src := nd.fifo[i][0]
-		copy(nd.fifo[i], nd.fifo[i][1:])
-		nd.fifo[i] = nd.fifo[i][:len(nd.fifo[i])-1]
-		delete(nd.inFifo[i], src)
-		d, _ := nd.dist(src)
-		ctx.Send(i, streamMsg{Src: src, Dist: d})
-		if len(nd.fifo[i]) > 0 || (st != nil && len(st.backlog) > 0) {
-			pending = true
 		}
 	}
-	if pending {
+	if nd.head < len(nd.queue) {
+		src := nd.queue[nd.head]
+		nd.head++
+		delete(nd.queued, src)
+		d, _ := nd.dist(src)
+		ctx.Broadcast(streamMsg{Src: src, Dist: d})
+		if nd.head == len(nd.queue) {
+			nd.queue, nd.head = nd.queue[:0], 0
+		}
+	} else {
+		// The changed arcs carry their endpoint streams (step 2) only
+		// while no improvement waits for every edge.
+		for i := range nd.streams {
+			if st := &nd.streams[i]; len(st.backlog) > 0 {
+				ctx.Send(st.arc, streamMsg{Src: st.backlog[0].Src, Dist: st.backlog[0].Dist})
+				st.backlog = st.backlog[1:]
+			}
+		}
+	}
+	if nd.head < len(nd.queue) || nd.streaming() {
 		ctx.WakeNextRound()
 	}
 }
 
-// changedArcIndex returns the adjacency index of the minimum-weight arc
-// from arcs to other, or -1 if none exists. On graphs with parallel arcs
-// to the same neighbor the endpoint must stream across the lightest one:
-// the warm-start argument relaxes the *changed* (now lightest) edge, and
-// streaming across a heavier parallel arc could fail to improve anything,
-// leaving the light arc's fixed-point violation unrepaired. (graph.Builder
-// canonicalizes parallel edges away today, so this guards future
-// ingestion paths that do not.)
-func changedArcIndex(arcs []graph.Arc, other int) int {
-	idx := -1
-	for i, arc := range arcs {
-		if arc.To == other && (idx < 0 || arc.Weight < arcs[idx].Weight) {
-			idx = i
+// streaming reports whether an endpoint stream still has entries to send.
+func (nd *updateNode) streaming() bool {
+	for i := range nd.streams {
+		if len(nd.streams[i].backlog) > 0 {
+			return true
 		}
 	}
-	return idx
+	return false
 }
 
 // mergeLabel returns a fresh label combining the (sorted, unique) base
@@ -246,15 +204,17 @@ func UpdateLandmark(g *graph.Graph, prev *LandmarkResult, changes []EdgeChange, 
 	nodes := make([]congest.Node, n)
 	uns := make([]*updateNode, n)
 	for u := 0; u < n; u++ {
-		un := &updateNode{id: u, base: prev.Labels[u], delta: make(map[int]graph.Dist)}
+		un := &updateNode{base: prev.Labels[u], delta: make(map[int]graph.Dist), queued: make(map[int]bool)}
 		if others := streamsFor[u]; len(others) > 0 {
 			backlog := make([]srcDist, 0, len(prev.Labels[u].Entries))
 			for _, e := range prev.Labels[u].Entries {
 				backlog = append(backlog, srcDist{Src: e.Net, Dist: e.D})
 			}
+			adj := g.Adj(u)
 			for _, other := range others {
-				arc := changedArcIndex(g.Adj(u), other)
-				// The edge was checked above, so the arc exists.
+				// The edge was checked above, and adjacency is sorted
+				// and free of parallel arcs, so the search finds its arc.
+				arc := sort.Search(len(adj), func(i int) bool { return adj[i].To >= other })
 				un.streams = append(un.streams, endpointStream{arc: arc, backlog: backlog})
 			}
 		}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"distsketch/internal/congest"
 	"distsketch/internal/graph"
 	"distsketch/internal/sketch"
 )
@@ -121,6 +124,68 @@ func TestUpdateLandmarkBadEdge(t *testing.T) {
 	}
 }
 
+// TestGoldenUpdateLandmark pins the warm-start repair's exact CONGEST
+// cost and the SHA-256 of its labels for one multi-edge decrease batch,
+// with synchronous and with asynchronous delivery. Node 0's first three
+// edges put three endpoint streams on one node; five more edges spread
+// the batch across the graph. The exactness tests check the labels
+// against Dijkstra; this test is what fails when a change to the repair's
+// send discipline moves a round, a message or an entry.
+func TestGoldenUpdateLandmark(t *testing.T) {
+	g := graph.Make(graph.FamilyGeometric, 256, graph.UniformWeights(1, 100), 7)
+	prev, err := BuildLandmark(g, SlackOptions{Eps: 0.5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []graph.Edge
+	for _, a := range g.Adj(0)[:3] {
+		batch = append(batch, graph.Edge{U: 0, V: a.To, Weight: max(1, a.Weight/3)})
+	}
+	for j := 0; j < 5; j++ {
+		e := g.Edges()[1+j*g.M()/5]
+		batch = append(batch, graph.Edge{U: e.U, V: e.V, Weight: max(1, e.Weight/3)})
+	}
+	ng, err := g.Reweighted(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := make([]EdgeChange, len(batch))
+	for i, e := range batch {
+		changes[i] = EdgeChange{U: e.U, V: e.V}
+	}
+	cases := []struct {
+		name string
+		cfg  congest.Config
+		want congest.Stats
+		sha  string
+	}{
+		{"sync", congest.Config{},
+			congest.Stats{Rounds: 129, Messages: 25088, Words: 50176},
+			"74a155ebcf50b2fb97cc2f24d2ae730dd60f25b63bc06b076f25aced1706d5ad"},
+		{"async", congest.Config{MaxDelay: 3},
+			congest.Stats{Rounds: 131, Messages: 27347, Words: 54694},
+			"74a155ebcf50b2fb97cc2f24d2ae730dd60f25b63bc06b076f25aced1706d5ad"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			upd, err := UpdateLandmark(ng, prev, changes, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, l := range upd.Labels {
+				h.Write(sketch.MarshalLandmark(l))
+			}
+			if upd.Cost.Total != c.want {
+				t.Errorf("cost = %+v, want %+v", upd.Cost.Total, c.want)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.sha {
+				t.Errorf("labels sha256 = %s, want %s", got, c.sha)
+			}
+		})
+	}
+}
+
 // snapshotLabels deep-copies a label set so later comparison detects any
 // mutation of the originals.
 func snapshotLabels(labels []*sketch.LandmarkLabel) [][]sketch.Entry {
@@ -193,37 +258,6 @@ func TestUpdateLandmarkCancelLeavesPrevIntact(t *testing.T) {
 	}
 	if !labelsEqualSnapshot(prev.Labels, snap) {
 		t.Fatal("successful repair mutated the caller's labels")
-	}
-}
-
-// TestChangedArcIndexParallel exercises the endpoint arc selection with
-// hand-built adjacency lists containing parallel arcs. graph.Builder
-// canonicalizes parallel edges to the minimum weight today, so this
-// guards the selection logic for ingestion paths that may not: the
-// repair must stream across the lightest arc to the changed neighbor,
-// not whichever parallel arc happens to scan last.
-func TestChangedArcIndexParallel(t *testing.T) {
-	arcs := []graph.Arc{
-		{To: 2, Weight: 7},
-		{To: 4, Weight: 9}, // heavy parallel arc first
-		{To: 4, Weight: 3}, // the changed (lightest) arc
-		{To: 4, Weight: 5},
-		{To: 6, Weight: 1},
-	}
-	if got := changedArcIndex(arcs, 4); got != 2 {
-		t.Errorf("changedArcIndex = %d, want 2 (the minimum-weight arc)", got)
-	}
-	if got := changedArcIndex(arcs, 6); got != 4 {
-		t.Errorf("changedArcIndex = %d, want 4", got)
-	}
-	if got := changedArcIndex(arcs, 9); got != -1 {
-		t.Errorf("changedArcIndex = %d, want -1 for a missing neighbor", got)
-	}
-	// Ties resolve to the first match, preserving the pre-fix behavior
-	// for graphs without parallel edges.
-	ties := []graph.Arc{{To: 4, Weight: 3}, {To: 4, Weight: 3}}
-	if got := changedArcIndex(ties, 4); got != 0 {
-		t.Errorf("changedArcIndex = %d, want 0 on ties", got)
 	}
 }
 

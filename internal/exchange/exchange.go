@@ -48,7 +48,7 @@ type exchNode struct {
 
 	payload []uint64 // this node's packed sketch
 
-	fifo [][]congest.Message
+	out congest.OutQueues
 
 	// Requester state.
 	want     int // DFS number of the node being fetched; -1 otherwise
@@ -60,11 +60,11 @@ type exchNode struct {
 }
 
 func (nd *exchNode) Init(ctx *congest.Context) {
-	nd.fifo = make([][]congest.Message, ctx.Degree())
+	nd.out = congest.NewOutQueues(ctx.Degree())
 	if nd.want >= 0 {
 		nd.route(ctx, nd.want, reqMsg{Target: nd.want, ReplyTo: nd.tree.In[nd.id]})
 	}
-	nd.drain(ctx)
+	nd.out.Flush(ctx, nil)
 }
 
 // route enqueues m on the tree edge toward the DFS number target.
@@ -80,7 +80,7 @@ func (nd *exchNode) route(ctx *congest.Context, target int, m congest.Message) {
 	if i < 0 {
 		panic(fmt.Sprintf("exchange: tree edge %d-%d missing from graph", nd.id, next))
 	}
-	nd.fifo[i] = append(nd.fifo[i], m)
+	nd.out.Push(i, m)
 }
 
 func (nd *exchNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
@@ -117,25 +117,7 @@ func (nd *exchNode) Round(ctx *congest.Context, inbox []congest.Incoming) {
 			panic(fmt.Sprintf("exchange: node %d got %T", nd.id, in.Payload))
 		}
 	}
-	nd.drain(ctx)
-}
-
-func (nd *exchNode) drain(ctx *congest.Context) {
-	pending := false
-	for i := range nd.fifo {
-		if len(nd.fifo[i]) == 0 {
-			continue
-		}
-		ctx.Send(i, nd.fifo[i][0])
-		copy(nd.fifo[i], nd.fifo[i][1:])
-		nd.fifo[i] = nd.fifo[i][:len(nd.fifo[i])-1]
-		if len(nd.fifo[i]) > 0 {
-			pending = true
-		}
-	}
-	if pending {
-		ctx.WakeNextRound()
-	}
+	nd.out.Flush(ctx, nil)
 }
 
 // PackWords packs serialized sketch bytes into 64-bit words with a length

@@ -81,6 +81,41 @@ func TestFetchDeliversSketch(t *testing.T) {
 	}
 }
 
+// TestGoldenTreeAndFetch pins the exact CONGEST cost of the echo BFS
+// tree and of one tree-routed sketch fetch on the 256-node geometric
+// graph of the root package's golden tests. Both protocols send through
+// per-edge FIFOs, so this is what fails when a change to that discipline
+// moves a round or a message.
+func TestGoldenTreeAndFetch(t *testing.T) {
+	g := graph.Make(graph.FamilyGeometric, 256, graph.UniformWeights(1, 100), 7)
+	n := g.N()
+	tree, err := bfstree.Build(g, n-1, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (congest.Stats{Rounds: 17, Messages: 16516, Words: 25029}); tree.Stats != want {
+		t.Errorf("tree cost = %+v, want %+v", tree.Stats, want)
+	}
+	res, err := core.BuildTZ(g, core.TZOptions{K: 3, Seed: 7, Mode: core.SyncOmniscient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketches := make([][]byte, n)
+	for u := range sketches {
+		sketches[u] = sketch.MarshalTZ(res.Labels[u])
+	}
+	fr, err := Fetch(g, tree, sketches, 0, 200, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (congest.Stats{Rounds: 18, Messages: 50, Words: 190}); fr.Rounds != 18 || fr.Stats != want {
+		t.Errorf("fetch took %d rounds, cost %+v; want 18 rounds, %+v", fr.Rounds, fr.Stats, want)
+	}
+	if !bytes.Equal(fr.Sketch, sketches[200]) {
+		t.Error("fetched sketch differs")
+	}
+}
+
 func TestFetchRoundsBound(t *testing.T) {
 	// The paper: fetching costs at most O(D · sketch-words) rounds. With
 	// pipelining it is ≤ c·(2·height + words).

@@ -2,8 +2,7 @@
 // each experiment Ei builds sketches over a family/size sweep, measures
 // the quantity the corresponding theorem bounds, and reports it next to
 // the bound. cmd/sketchbench prints the tables (and writes them as JSON),
-// and the root package's TestExperimentsSuite requires every bound to
-// hold.
+// and TestAllExperimentsQuick requires every bound to hold.
 package experiments
 
 import (

@@ -299,11 +299,13 @@ func checkRoutedNodes(m *shardMap, ids ...int) error {
 }
 
 // splitReplicaSpec splits one shard spec "url|url|..." into its replica
-// base URLs, trimming whitespace and dropping empty segments.
+// base URLs, trimming whitespace and trailing slashes (the router appends
+// "/query", and a shard redirects "//query" as a body-less GET) and
+// dropping empty segments.
 func splitReplicaSpec(spec string) []string {
 	var out []string
 	for _, part := range strings.Split(spec, "|") {
-		if p := strings.TrimSpace(part); p != "" {
+		if p := strings.TrimRight(strings.TrimSpace(part), "/"); p != "" {
 			out = append(out, p)
 		}
 	}

@@ -527,6 +527,23 @@ func TestDiscoverShards(t *testing.T) {
 	if len(single) != 1 || single[0].Range.Lo != 0 || single[0].Range.Hi != full.N() {
 		t.Fatalf("unsharded discovery: %+v", single)
 	}
+
+	// A replica written with a trailing slash must route like any other:
+	// "base/" + "/query" would be redirected as a body-less GET.
+	full, _, group := buildReplicatedFixture(t, 2, 2)
+	specs := []string{group[0][0] + "/|" + group[0][1], group[1][0] + "/|" + group[1][1]}
+	slashed, err := DiscoverShards(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newFaultRouter(t, slashed, RouterOptions{})
+	n := full.N()
+	pairs := []string{}
+	for i := 0; i < 8; i++ {
+		pairs = append(pairs, fmt.Sprintf(`{"u":%d,"v":%d}`, i, i+1), fmt.Sprintf(`{"u":%d,"v":%d}`, i, n-1-i))
+	}
+	body := `{"pairs":[` + strings.Join(pairs, ",") + `]}`
+	requireBatchMatches(t, ts.URL, body, batchBaseline(t, full, body))
 }
 
 // TestNewRouterValidation: shard maps that do not tile one id space are
