@@ -21,9 +21,13 @@ import (
 //     Bellman–Ford fixed-point check of VerifyLandmarkExact. Arbitrary
 //     weight changes are accepted; a batch whose result is not exact
 //     (an effective increase) reports ErrUnsound.
-//   - TZ: the suspect-cluster repair of repairHierarchy plus the exact
-//     truncated-cluster fixed-point check of verifyHierarchyExact.
-//     Arbitrary weight changes are accepted on the same terms.
+//   - TZ: the decrease propagation of propagateDecreases for certified
+//     decrease-only batches, the suspect-cluster repair of
+//     repairHierarchy for every other batch, and then the exact
+//     truncated-cluster fixed-point check of verifyHierarchyExact — or
+//     its local form, verifyHierarchyLocal, when the caller's graph is
+//     the one the labels were last verified on except at the changed
+//     edges. Arbitrary weight changes are accepted on the same terms.
 //   - CDG and graceful: the same suspect-cluster repair, applied to the
 //     Thorup–Zwick hierarchy that lives on the density net. These labels
 //     cover only net members, so no complete post-hoc verification is
@@ -47,10 +51,10 @@ import (
 // caller knows it (a serving layer holding the pre-change graph does),
 // or 0 for unknown. Landmark repairs never consult it. TZ repairs use it
 // only for speed: a batch certified decrease-only (every change carries
-// it, none increased) takes the label test of repair_tz.go instead of a
-// Dijkstra per endpoint, and either way the result is verified against
-// the new graph. CDG and graceful repairs require it to certify the batch
-// was decrease-only.
+// it, none increased) takes the decrease propagation of repair_tz.go
+// instead of regrowing clusters found by a Dijkstra per endpoint, and
+// either way the result is verified against the new graph. CDG and
+// graceful repairs require it to certify the batch was decrease-only.
 type EdgeChange struct {
 	U, V       int
 	PrevWeight graph.Dist
@@ -75,20 +79,37 @@ type RepairResult struct {
 	// pointer-shared with the input; they sum to len(Labels).
 	Replaced, Shared int
 	// ClustersRegrown counts the truncated-Dijkstra cluster regrowths the
-	// hierarchy repairs performed (0 for landmark). It is the dominant
-	// cost term a rebuild would pay once per hierarchy member.
+	// hierarchy repairs performed, or on the TZ decrease path the columns
+	// it propagated (0 for landmark). It is the dominant cost term a
+	// rebuild would pay once per hierarchy member.
 	ClustersRegrown int
+	// LocalCheck reports that a TZ result was verified by the local check
+	// (verifyHierarchyLocal) rather than over the whole graph.
+	LocalCheck bool
+}
+
+// Prior is what a caller knows about the labels a repair starts from,
+// besides the labels themselves. A nil *Prior knows nothing.
+type Prior struct {
+	// Graph is the graph the labels were last verified exact on, or nil
+	// when unknown (a set just built or loaded). A TZ repair whose graph
+	// equals it everywhere except at the changed edges verifies its result
+	// with the local check.
+	Graph *graph.Graph
+	// Net is the landmark density net; other kinds derive theirs from the
+	// labels.
+	Net []int
 }
 
 // Repair applies a batch of edge weight changes to a full label set in
 // one clone-repair-verify step. g must be the new topology (same node
 // set and edge set as the graph the labels were built on, with the
-// changed weights). prev is read-only and never mutated; net is the
-// density net (landmark labels only — derived from the labels for the
-// other kinds). Changes naming the same undirected edge twice collapse
-// to one. An error wrapping ErrUnsound means the labels cannot be
-// repaired and a rebuild is required; any error leaves prev untouched.
-func Repair(g *graph.Graph, prev []sketch.Label, net []int, edges []EdgeChange, cfg congest.Config) (*RepairResult, error) {
+// changed weights). prev is read-only and never mutated; prior is what
+// the caller knows about it (nil for nothing). Changes naming the same
+// undirected edge twice collapse to one. An error wrapping ErrUnsound
+// means the labels cannot be repaired and a rebuild is required; any
+// error leaves prev untouched.
+func Repair(g *graph.Graph, prev []sketch.Label, prior *Prior, edges []EdgeChange, cfg congest.Config) (*RepairResult, error) {
 	n := g.N()
 	if len(prev) != n || n == 0 {
 		return nil, fmt.Errorf("core: %d labels for n=%d", len(prev), n)
@@ -108,11 +129,14 @@ func Repair(g *graph.Graph, prev []sketch.Label, net []int, edges []EdgeChange, 
 	if len(changes) == 0 {
 		return &RepairResult{Labels: append([]sketch.Label(nil), prev...), Shared: n}, nil
 	}
+	if prior == nil {
+		prior = &Prior{}
+	}
 	switch prev[0].(type) {
 	case *sketch.LandmarkLabel:
-		return repairLandmarkSet(g, prev, net, changes, cfg)
+		return repairLandmarkSet(g, prev, prior.Net, changes, cfg)
 	case *sketch.TZLabel:
-		return repairTZSet(g, prev, changes)
+		return repairTZSet(g, prev, prior.Graph, changes)
 	case *sketch.CDGLabel:
 		return repairCDGSet(g, prev, changes)
 	case *sketch.GracefulLabel:
@@ -186,13 +210,15 @@ func repairLandmarkSet(g *graph.Graph, prev []sketch.Label, net []int, changes [
 }
 
 // repairTZSet repairs full-graph Thorup–Zwick labels: derive the
-// hierarchy from the labels, regrow every suspect cluster (found by the
-// label test for certified decrease-only batches, by the endpoint search
-// otherwise), then verify the whole result with the exact
+// hierarchy from the labels, repair it (by the decrease propagation for
+// certified decrease-only batches, by regrowing the endpoint search's
+// suspect clusters otherwise), then verify the result with the exact
 // truncated-cluster fixed-point check — which makes the repair sound
 // under arbitrary weight changes, increases included (an unrepairable
-// batch fails verification).
-func repairTZSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*RepairResult, error) {
+// batch fails verification). The check is local when base, the graph the
+// labels were last verified on, equals g except at the changed edges,
+// and whole-graph otherwise.
+func repairTZSet(g *graph.Graph, prev []sketch.Label, base *graph.Graph, changes []EdgeChange) (*RepairResult, error) {
 	n := g.N()
 	old := make([]*sketch.TZLabel, n)
 	for u, l := range prev {
@@ -214,18 +240,21 @@ func repairTZSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*Re
 		}
 		levels[u] = lv
 	}
-	rule, pairs := endpointSearch, endpointPairs(changes)
-	if dec, err := requireDecreases(g, changes, "tz"); err == nil {
-		rule, pairs = labelTest, dec
-	}
-	hr, err := repairHierarchy(g, k, levels, old, pairs, rule, false)
+	hr, err := repairTZHierarchy(g, k, levels, old, changes)
 	if err != nil {
 		return nil, err
 	}
-	if verr := verifyHierarchyExact(g, levels, hr.labels, hr.pivotDist); verr != nil {
+	local := sameExcept(g, base, changes)
+	var verr error
+	if local {
+		verr = verifyHierarchyLocal(g, levels, old, hr.labels, hr.pivotDist, changes)
+	} else {
+		verr = verifyHierarchyExact(g, levels, hr.labels, hr.pivotDist)
+	}
+	if verr != nil {
 		return nil, fmt.Errorf("core: tz repair left inexact clusters (%v); a weight likely increased beyond what the suspect set covers: %w", verr, ErrUnsound)
 	}
-	out := &RepairResult{Labels: make([]sketch.Label, n), ClustersRegrown: hr.regrown}
+	out := &RepairResult{Labels: make([]sketch.Label, n), ClustersRegrown: hr.regrown, LocalCheck: local}
 	for u := 0; u < n; u++ {
 		out.Labels[u] = hr.labels[u]
 		if hr.labels[u] == old[u] {
@@ -235,6 +264,16 @@ func repairTZSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*Re
 		}
 	}
 	return out, nil
+}
+
+// repairTZHierarchy repairs a full-graph hierarchy without verifying it:
+// the decrease propagation when the batch is certified decrease-only,
+// the suspect-cluster repair with the endpoint search otherwise.
+func repairTZHierarchy(g *graph.Graph, k int, levels []int, old []*sketch.TZLabel, changes []EdgeChange) (*hierarchyRepair, error) {
+	if dec, err := requireDecreases(g, changes, "tz"); err == nil {
+		return propagateDecreases(g, k, levels, old, dec)
+	}
+	return repairHierarchy(g, k, levels, old, endpointPairs(changes), endpointSearch, false)
 }
 
 // requireDecreases certifies the batch for the kinds with no complete
@@ -285,7 +324,7 @@ func repairCDGSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*R
 	if err != nil {
 		return nil, err
 	}
-	out, regrown, err := repairCDGLabels(g, cds, pairs)
+	out, regrown, err := repairCDGLabels(g, cds, pairs, endpointSearch)
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +341,8 @@ func repairCDGSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*R
 }
 
 // repairCDGLabels is the per-instance CDG repair shared by the cdg and
-// graceful arms.
-func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int) ([]*sketch.CDGLabel, int, error) {
+// graceful arms; search supplies the endpoint rows (see repairHierarchy).
+func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int, search func(*graph.Graph, [][2]int) *endpointRows) ([]*sketch.CDGLabel, int, error) {
 	n := g.N()
 	// Derive the net: under strictly positive weights, a node is its own
 	// nearest net node exactly when it is a net member.
@@ -346,7 +385,7 @@ func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int) ([
 		old[w] = nl
 		levels[w] = lv
 	}
-	hr, err := repairHierarchy(g, k, levels, old, pairs, endpointSearch, true)
+	hr, err := repairHierarchy(g, k, levels, old, pairs, search, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -378,6 +417,8 @@ func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int) ([
 
 // repairGracefulSet repairs gracefully degrading labels: one CDG repair
 // per slack level, sharing a node's whole label when no level changed.
+// The endpoint search's Dijkstras depend on the graph and the batch only,
+// so they run once and every level reads the same rows.
 func repairGracefulSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*RepairResult, error) {
 	n := g.N()
 	gls := make([]*sketch.GracefulLabel, n)
@@ -398,6 +439,8 @@ func repairGracefulSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange
 			return nil, fmt.Errorf("core: node %d has %d slack levels, node 0 has %d", u, len(gl.Levels), depth)
 		}
 	}
+	rows := endpointSearch(g, pairs)
+	shared := func(*graph.Graph, [][2]int) *endpointRows { return rows }
 	newLevels := make([][]*sketch.CDGLabel, depth)
 	regrown := 0
 	for j := 0; j < depth; j++ {
@@ -405,7 +448,7 @@ func repairGracefulSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange
 		for u, gl := range gls {
 			lv[u] = gl.Levels[j]
 		}
-		out, reg, err := repairCDGLabels(g, lv, pairs)
+		out, reg, err := repairCDGLabels(g, lv, pairs, shared)
 		if err != nil {
 			return nil, fmt.Errorf("core: graceful level %d: %w", j+1, err)
 		}

@@ -1,13 +1,15 @@
 package core
 
-// Tests for the TZ repair's two suspect searches: the label test that
+// Tests for the TZ repair's two paths: the decrease propagation that
 // certified decrease-only batches take, and the endpoint search that
 // every other batch keeps.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"distsketch/internal/graph"
@@ -96,12 +98,13 @@ func changedClusters(before, after []*sketch.TZLabel) []bool {
 	return changed
 }
 
-// TestLabelSuspectsComplete checks the label test's completeness claim
+// TestLabelSuspectsComplete checks the label test's completeness
 // (repair_tz.go) directly: under strictly decreasing batches, every
-// member whose cluster a rebuild changes is a suspect, and the repair
-// equals the rebuild byte for byte. Weights 1–8 make equal-length paths
-// common, so ties in distances and thresholds are exercised; each family
-// and k runs a chain of batches, each repaired from the previous repair.
+// column a rebuild changes is seeded or holds a dart's dropped entry,
+// every seeded column does change, and the repair equals the rebuild
+// byte for byte. Weights 1–8 make equal-length paths common, so ties in
+// distances and thresholds are exercised; each family and k runs a chain
+// of batches, each repaired from the previous repair.
 func TestLabelSuspectsComplete(t *testing.T) {
 	r := rand.New(rand.NewPCG(101, 7))
 	for _, f := range graph.AllFamilies() {
@@ -123,13 +126,25 @@ func TestLabelSuspectsComplete(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				suspect, _, err := hierarchySuspects(ng, k, o.Levels, labels, tz.LevelDistances(ng, k, o.Levels), pairs, labelTest, false)
-				if err != nil {
-					t.Fatal(err)
+				pivotDist := tz.LevelDistances(ng, k, o.Levels)
+				seeded := make([]bool, len(labels))
+				for _, s := range decreaseSeeds(ng, o.Levels, labels, pivotDist, pairs) {
+					seeded[s.w] = true
+				}
+				dropped := make([]bool, len(labels))
+				for x, lab := range labels {
+					for _, it := range lab.Bunch {
+						if it.Dist >= pivotDist[it.Level+1][x] {
+							dropped[it.Node] = true
+						}
+					}
 				}
 				for w, changed := range changedClusters(labels, rebuilt.Labels) {
-					if changed && !suspect[w] {
-						t.Fatalf("%s k=%d batch %d %v: member %d's cluster changed but it is not a suspect", f, k, batch, changes, w)
+					if changed && !seeded[w] && !dropped[w] {
+						t.Fatalf("%s k=%d batch %d %v: member %d's cluster changed but it is neither seeded nor dropped by a dart", f, k, batch, changes, w)
+					}
+					if seeded[w] && !changed {
+						t.Fatalf("%s k=%d batch %d %v: member %d is seeded but its cluster did not change", f, k, batch, changes, w)
 					}
 				}
 				res, err := Repair(ng, asLabels(labels), nil, changes, congestDefault())
@@ -241,4 +256,145 @@ func TestRepairTZLabelTestRegrowsFewer(t *testing.T) {
 		t.Errorf("label test regrew %d clusters, endpoint search %d; want strictly fewer", certified.ClustersRegrown, endpoint.ClustersRegrown)
 	}
 	t.Logf("clusters regrown: label test %d, endpoint search %d", certified.ClustersRegrown, endpoint.ClustersRegrown)
+}
+
+// TestRepairTZLocalCheckMatchesFull runs chains of batches through the
+// graph the repair keeps, as SketchSet.UpdateEdges does: every graph
+// family, k = 1..4, weights 1–8 and 1–100, every other batch holding one
+// increase. Every repair of a decrease-only batch verifies and equals the
+// rebuild byte for byte, and so does every repair of an increase batch
+// that the whole-graph check accepts. On each candidate result, and on
+// the result with one label corrupted at a changed edge's endpoint and at
+// a node elsewhere, the local check reaches the whole-graph check's
+// verdict.
+func TestRepairTZLocalCheckMatchesFull(t *testing.T) {
+	r := rand.New(rand.NewPCG(104, 7))
+	ran, rejected, local := map[string]int{}, 0, 0
+	for _, f := range graph.AllFamilies() {
+		for k := 1; k <= 4; k++ {
+			for _, maxW := range []graph.Dist{8, 100} {
+				base := graph.Make(f, 96, graph.UniformWeights(1, maxW), uint64(104+k))
+				o, err := tz.Build(base, k, 104)
+				if err != nil {
+					t.Fatal(err)
+				}
+				labels := slices.Clone(o.Labels)
+				for batch := 0; batch < 4; batch++ {
+					name := fmt.Sprintf("%s k=%d w≤%d batch %d", f, k, maxW, batch)
+					changes, repl := decreaseBatch(r, base, 1+r.IntN(6))
+					increase := batch%2 == 1
+					if increase {
+						c := changes[r.IntN(len(changes))]
+						repl[[2]int{c.U, c.V}] = c.PrevWeight + 1 + graph.Dist(r.IntN(int(2*c.PrevWeight)))
+					}
+					ng := reweigh(t, base, repl)
+					rebuilt, err := tz.BuildHierarchy(ng, k, o.Levels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hr, err := repairTZHierarchy(ng, k, o.Levels, labels, changes)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					verdicts := func(what string, cand []*sketch.TZLabel) error {
+						t.Helper()
+						full := verifyHierarchyExact(ng, o.Levels, cand, hr.pivotDist)
+						loc := verifyHierarchyLocal(ng, o.Levels, labels, cand, hr.pivotDist, changes)
+						if (full == nil) != (loc == nil) {
+							t.Fatalf("%s, %s: whole-graph check says %v, local check says %v", name, what, full, loc)
+						}
+						return full
+					}
+					full := verdicts("repair", hr.labels)
+					if full != nil && !increase {
+						t.Fatalf("%s: decrease-only repair failed verification: %v", name, full)
+					}
+
+					endpoint := changes[r.IntN(len(changes))].V
+					elsewhere := r.IntN(len(labels))
+					for _, c := range localCorruptions {
+						for _, at := range []struct {
+							where string
+							u     int
+						}{{"endpoint", endpoint}, {"elsewhere", elsewhere}} {
+							cand := slices.Clone(hr.labels)
+							if cand[at.u] = c.apply(r, labels[at.u], cand[at.u]); cand[at.u] == nil {
+								continue // nothing to corrupt here
+							}
+							ran[c.name+" at "+at.where]++
+							if verdicts(fmt.Sprintf("%s at %s %d", c.name, at.where, at.u), cand) != nil {
+								rejected++
+							}
+						}
+					}
+
+					res, err := Repair(ng, asLabels(labels), &Prior{Graph: base}, changes, congestDefault())
+					if full != nil {
+						if !errors.Is(err, ErrUnsound) {
+							t.Fatalf("%s: candidate fails verification (%v), Repair returned %v, want ErrUnsound", name, full, err)
+						}
+						labels = rebuilt.Labels // what a caller's rebuild yields
+					} else {
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !res.LocalCheck {
+							t.Fatalf("%s: repair through the kept graph took the whole-graph check", name)
+						}
+						local++
+						requireRebuildBytes(t, name, res.Labels, rebuilt.Labels)
+						for u, l := range res.Labels {
+							labels[u] = l.(*sketch.TZLabel)
+						}
+					}
+					base = ng
+				}
+			}
+		}
+	}
+	for _, c := range localCorruptions {
+		for _, where := range []string{"endpoint", "elsewhere"} {
+			if ran[c.name+" at "+where] < 20 {
+				t.Errorf("corruption %q at %s applied %d times, want ≥ 20", c.name, where, ran[c.name+" at "+where])
+			}
+		}
+	}
+	t.Logf("corruptions applied %v; %d rejected; %d repairs checked locally", ran, rejected, local)
+	if rejected == 0 || local == 0 {
+		t.Errorf("%d corrupted results rejected, %d repairs checked locally; want both", rejected, local)
+	}
+}
+
+// localCorruptions rewrite one node's repaired label. apply returns nil
+// when the node offers no target.
+var localCorruptions = []struct {
+	name  string
+	apply func(r *rand.Rand, old, repaired *sketch.TZLabel) *sketch.TZLabel
+}{
+	{"entry raised", func(r *rand.Rand, _, l *sketch.TZLabel) *sketch.TZLabel {
+		return editBunch(r, l, func(b []sketch.BunchItem, i int) []sketch.BunchItem { b[i].Dist++; return b })
+	}},
+	{"entry lowered", func(r *rand.Rand, _, l *sketch.TZLabel) *sketch.TZLabel {
+		return editBunch(r, l, func(b []sketch.BunchItem, i int) []sketch.BunchItem { b[i].Dist--; return b })
+	}},
+	{"entry removed", func(r *rand.Rand, _, l *sketch.TZLabel) *sketch.TZLabel {
+		return editBunch(r, l, func(b []sketch.BunchItem, i int) []sketch.BunchItem { return slices.Delete(b, i, i+1) })
+	}},
+	// The node's repair undone: its label is the old one again, so only
+	// the checks at endpoints, at darts and around changed entries see it.
+	{"repair undone", func(_ *rand.Rand, old, l *sketch.TZLabel) *sketch.TZLabel {
+		if old == l {
+			return nil
+		}
+		return old
+	}},
+}
+
+// editBunch returns a copy of l whose bunch edit rewrote at a random
+// entry, or nil when the bunch is empty.
+func editBunch(r *rand.Rand, l *sketch.TZLabel, edit func(b []sketch.BunchItem, i int) []sketch.BunchItem) *sketch.TZLabel {
+	if len(l.Bunch) == 0 {
+		return nil
+	}
+	return &sketch.TZLabel{Owner: l.Owner, K: l.K, Pivots: l.Pivots, Bunch: edit(slices.Clone(l.Bunch), r.IntN(len(l.Bunch)))}
 }

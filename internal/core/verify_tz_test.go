@@ -230,3 +230,20 @@ func corruptions(k int) []corruption {
 		}},
 	}
 }
+
+// bunchIndex finds node w in a canonical (sorted by node ID) bunch.
+func bunchIndex(b []sketch.BunchItem, w int) (int, bool) {
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if b[mid].Node < w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(b) && b[lo].Node == w {
+		return lo, true
+	}
+	return lo, false
+}

@@ -15,13 +15,17 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("e 0 1 1\n")
 	f.Add("p\u00a02 1\ne 0\u20281\t7 \xff\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		var dst [4]string
+		var dst [4][]byte
 		for _, line := range strings.Split(src, "\n") {
 			want := strings.Fields(line)
-			n := splitFields(line, dst[:])
+			n := splitFields([]byte(line), dst[:])
 			k := min(n, len(dst))
-			if n != len(want) || !slices.Equal(dst[:k], want[:min(k, len(want))]) {
-				t.Errorf("splitFields(%q) = %d %q, want %q", line, n, dst[:k], want)
+			got := make([]string, k)
+			for i := range got {
+				got[i] = string(dst[i])
+			}
+			if n != len(want) || !slices.Equal(got, want[:min(k, len(want))]) {
+				t.Errorf("splitFields(%q) = %d %q, want %q", line, n, got, want)
 			}
 		}
 		g, err := ReadEdgeList(strings.NewReader(src))

@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Text edge-list serialization, DIMACS-flavored, so networks measured
@@ -33,7 +34,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses a graph written by WriteEdgeList (or by hand).
+// ReadEdgeList parses a graph written by WriteEdgeList (or by hand). It
+// reads each line in place from the scanner's buffer, and a number
+// field's string conversion does not escape strconv, so it stays on the
+// stack: a read allocates a constant number of times beyond the graph
+// itself, and a string of the line is made only for an error message.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -41,16 +46,16 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	edges := 0
 	wantEdges := -1
 	line := 0
-	var fieldBuf [4]string
+	var fieldBuf [4][]byte
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
 		nf := splitFields(text, fieldBuf[:])
 		fields := fieldBuf[:min(nf, len(fieldBuf))]
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "p":
 			if b != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate problem line", line)
@@ -58,11 +63,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if nf != 3 {
 				return nil, fmt.Errorf("graph: line %d: want 'p <n> <m>'", line)
 			}
-			n, err := strconv.Atoi(fields[1])
+			n, err := strconv.Atoi(string(fields[1]))
 			if err != nil || n < 0 || n > MaxNodes {
 				return nil, fmt.Errorf("graph: line %d: bad n %q (want 0..%d)", line, fields[1], MaxNodes)
 			}
-			m, err := strconv.Atoi(fields[2])
+			m, err := strconv.Atoi(string(fields[2]))
 			if err != nil || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad m %q", line, fields[2])
 			}
@@ -77,9 +82,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if nf != 4 {
 				return nil, fmt.Errorf("graph: line %d: want 'e <u> <v> <w>'", line)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			w, err3 := strconv.ParseInt(fields[3], 10, 64)
+			u, err1 := strconv.Atoi(string(fields[1]))
+			v, err2 := strconv.Atoi(string(fields[2]))
+			w, err3 := strconv.ParseInt(string(fields[3]), 10, 64)
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
 			}
@@ -101,14 +106,27 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Freeze()
 }
 
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // splitFields splits s around runs of white space, as strings.Fields
-// does, into dst without allocating. It returns the number of fields,
-// counting those past len(dst) without storing them.
-func splitFields(s string, dst []string) int {
+// does, into dst without allocating: ASCII bytes are classified by a
+// table, and any other rune by unicode.IsSpace. It returns the number of
+// fields, counting those past len(dst) without storing them.
+func splitFields(s []byte, dst [][]byte) int {
 	n, start := 0, -1
-	for i, r := range s {
+	for i := 0; i < len(s); {
+		c, size := s[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRune(s[i:])
+			space = unicode.IsSpace(r)
+		}
 		switch {
-		case !unicode.IsSpace(r):
+		case !space:
 			if start < 0 {
 				start = i
 			}
@@ -119,6 +137,7 @@ func splitFields(s string, dst []string) int {
 			n++
 			start = -1
 		}
+		i += size
 	}
 	if start >= 0 {
 		if n < len(dst) {

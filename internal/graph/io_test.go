@@ -84,11 +84,11 @@ func TestWriteEdgeListFormat(t *testing.T) {
 	}
 }
 
-// TestReadEdgeListAllocs pins the reader's allocation budget: one string
-// per line (the scanner's Text) plus a constant for the scanner buffer,
-// the edge slice sized from the problem line and Freeze's arrays.
-// Splitting each line with strings.Fields, or growing the edge slice by
-// doubling, exceeds it.
+// TestReadEdgeListAllocs pins the reader's allocation budget to a
+// constant, independent of the line count: the scanner buffer, the edge
+// slice sized from the problem line, and Freeze's arrays. A string per
+// line (the scanner's Text), splitting a line with strings.Fields, or
+// growing the edge slice by doubling exceeds it.
 func TestReadEdgeListAllocs(t *testing.T) {
 	g := Make(FamilyGeometric, 1024, UniformWeights(1, 100), 1)
 	var buf bytes.Buffer
@@ -96,13 +96,34 @@ func TestReadEdgeListAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	lines := g.M() + 1
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(lines + 32); allocs > limit {
-		t.Errorf("ReadEdgeList: %.0f allocations for %d lines, want at most %.0f", allocs, lines, limit)
+	const limit = 16
+	if allocs > limit {
+		t.Errorf("ReadEdgeList: %.0f allocations for %d lines, want at most %d", allocs, g.M()+1, limit)
+	}
+}
+
+// BenchmarkReadEdgeList reads a 2048-node geometric graph (weights
+// 1–100) from its edge list.
+//
+// Run with: go test ./internal/graph -run '^$' -bench '^BenchmarkReadEdgeList$'
+func BenchmarkReadEdgeList(b *testing.B) {
+	g := Make(FamilyGeometric, 2048, UniformWeights(1, 100), 1)
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -96,9 +96,11 @@ func BuildHierarchy(g *graph.Graph, k int, levels []int) (*Oracle, error) {
 }
 
 // LevelDistances returns d(·, A_i) on g for i = 0..k, where A_i holds the
-// nodes whose level is at least i: one multi-source Dijkstra per
-// non-empty level, and all Inf for empty levels and for A_k = ∅ (§3.1).
-// Row l+1 is the truncation threshold of every level-l member's cluster.
+// nodes whose level is at least i: one multi-source Dijkstra per level
+// that holds some but not all nodes, all zeros for a level holding every
+// node (A_0 of a full hierarchy), and all Inf for empty levels and for
+// A_k = ∅ (§3.1). Row l+1 is the truncation threshold of every level-l
+// member's cluster.
 func LevelDistances(g *graph.Graph, k int, levels []int) [][]graph.Dist {
 	n := g.N()
 	out := make([][]graph.Dist, k+1)
@@ -109,13 +111,16 @@ func LevelDistances(g *graph.Graph, k int, levels []int) [][]graph.Dist {
 				ai = append(ai, u)
 			}
 		}
-		if len(ai) > 0 {
+		switch len(ai) {
+		case n:
+			out[i] = make([]graph.Dist, n)
+		case 0:
+			out[i] = make([]graph.Dist, n)
+			for u := range out[i] {
+				out[i][u] = graph.Inf
+			}
+		default:
 			out[i], _ = graph.MultiSourceDijkstra(g, ai)
-			continue
-		}
-		out[i] = make([]graph.Dist, n)
-		for u := range out[i] {
-			out[i][u] = graph.Inf
 		}
 	}
 	return out
@@ -205,31 +210,40 @@ func NewGrower(g *graph.Graph) *Grower {
 // repair path, which regrows exactly the clusters a weight change can have
 // touched.
 func (gr *Grower) GrowCluster(w int, thresh []graph.Dist, visit func(u int, d graph.Dist)) {
+	gr.Lower([]graph.HeapItem{{Node: w}}, thresh, nil, visit)
+}
+
+// Lower runs a truncated Dijkstra from several seeds, each the value Dist
+// arriving at node Node: it accepts a value d at a node u only when
+// d < thresh[u] and, unless above is nil, d < above(u). visit(u, d) is
+// called once per accepted node, in ascending (dist, ID) order, with its
+// final value. With above(u) the distance u recorded before a weight
+// change (Inf when none), this is one column of the incremental repair's
+// decrease propagation (see internal/core's repair_tz.go).
+func (gr *Grower) Lower(seeds []graph.HeapItem, thresh []graph.Dist, above func(u int) graph.Dist, visit func(u int, d graph.Dist)) {
 	dist, h := gr.dist, &gr.heap
-	dist[w] = 0
-	gr.reached = append(gr.reached, w)
-	h.Push(graph.HeapItem{Node: w})
+	reach := func(v int, d graph.Dist) {
+		if d >= dist[v] || d >= thresh[v] || above != nil && d >= above(v) {
+			return
+		}
+		if dist[v] == graph.Inf {
+			gr.reached = append(gr.reached, v)
+		}
+		dist[v] = d
+		h.Push(graph.HeapItem{Dist: d, Node: v})
+	}
+	for _, s := range seeds {
+		reach(s.Node, s.Dist)
+	}
 	for h.Len() > 0 {
 		it := h.Pop()
 		u := it.Node
 		if it.Dist > dist[u] {
 			continue // stale entry
 		}
-		if it.Dist >= thresh[u] {
-			continue // u ∉ C(w): do not expand through it
-		}
 		visit(u, it.Dist)
 		for _, a := range gr.g.Adj(u) {
-			nd := graph.AddDist(it.Dist, a.Weight)
-			v := a.To
-			if nd >= thresh[v] || nd >= dist[v] {
-				continue
-			}
-			if dist[v] == graph.Inf {
-				gr.reached = append(gr.reached, v)
-			}
-			dist[v] = nd
-			h.Push(graph.HeapItem{Dist: nd, Node: v})
+			reach(a.To, graph.AddDist(it.Dist, a.Weight))
 		}
 	}
 	for _, u := range gr.reached {

@@ -92,6 +92,13 @@ type SketchSet struct {
 	// reloaded set still supports incremental repair. Net ids are global
 	// node ids (against shardTotal for a shard). Nil for other kinds.
 	net []int
+	// graph is the graph of the last successful UpdateEdges, the one the
+	// labels were last verified exact on (TZ, landmark) or certified for
+	// (CDG, graceful); nil after Build or a load, which would otherwise
+	// hold a graph no repair may ever need. Clones share it, and it is
+	// never persisted. A TZ repair whose graph equals it except at the
+	// batch's edges checks only what the batch changed.
+	graph *Graph
 	// shardLo and shardTotal describe a node-range shard sliced from a
 	// larger set (envelope version 3): this set holds the sketches of
 	// global nodes [shardLo, shardLo+N()) out of shardTotal. shardTotal
@@ -480,8 +487,9 @@ func (s *SketchSet) Words() int64 { return s.cost.Total.Words }
 // does), or 0 for unknown. Landmark repairs never consult it. TZ repairs
 // are verified exact against the new graph directly and use it only for
 // speed: a batch whose every change carries it and decreases (or keeps)
-// the weight finds the clusters to regrow from the old labels instead of
-// running a Dijkstra per changed edge's endpoint. CDG and graceful
+// the weight propagates the decreases from the old labels, touching only
+// the entries that change, instead of regrowing whole clusters found by
+// a Dijkstra per changed edge's endpoint. CDG and graceful
 // repairs require it: their labels cover only the density net, so
 // exactness cannot be checked after the fact and soundness instead
 // demands a certified decrease-only batch. A CDG or graceful batch with
@@ -511,6 +519,16 @@ type EdgeChange struct {
 // changed, verifying the result where a complete check exists (landmark
 // and TZ) or certifying the batch decrease-only up front (CDG and
 // graceful — see EdgeChange.PrevWeight).
+//
+// The set keeps g after a successful non-empty batch (Clone shares it,
+// WriteTo does not persist it). When the next batch's graph equals the
+// kept one everywhere except at the batch's edges, the TZ verification
+// evaluates only the conditions those edges, the nodes whose level
+// distances moved and the changed entries touch; it reaches the
+// whole-graph check's verdict because the labels were exact on the kept
+// graph. A set just built or loaded keeps no graph, so its first repair
+// checks the whole graph, and so does any batch whose graph differs from
+// the kept one elsewhere.
 //
 // The rejection contract is atomic: any error leaves the set exactly as
 // it was, with no partial batch applied. An error wrapping
@@ -573,7 +591,7 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 	for i, e := range edges {
 		coreEdges[i] = core.EdgeChange{U: e.U, V: e.V, PrevWeight: e.PrevWeight}
 	}
-	res, err := core.Repair(g, prev, s.net, coreEdges, congest.Config{})
+	res, err := core.Repair(g, prev, &core.Prior{Graph: s.graph, Net: s.net}, coreEdges, congest.Config{})
 	if err != nil {
 		if errors.Is(err, core.ErrUnsound) {
 			return Stats{}, fmt.Errorf("distsketch: %v: %w", err, ErrRebuildRequired)
@@ -588,6 +606,11 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 		}
 		return &Sketch{kind: s.kind, label: res.Labels[u]}
 	})
+	if len(edges) > 0 {
+		// An empty batch verifies nothing, so the labels stay exact on the
+		// graph they were exact on before.
+		s.graph = g
+	}
 	repair := statsOf(res.Cost)
 	s.cost.Total = s.cost.Total.Add(repair)
 	return repair, nil

@@ -9,6 +9,10 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"distsketch/internal/congest"
+	"distsketch/internal/core"
+	"distsketch/internal/sketch"
 )
 
 // reweighted returns a copy of g with the weights in repl applied. Keys
@@ -298,4 +302,149 @@ func TestUpdateEdgeTZSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBytes(t, "tz single edge", set, allSketchBytes(t, rebuilt))
+}
+
+// decreaseRound lowers size distinct edges of g of weight at least 2 to
+// w/2, returning the changes and the reweighting.
+func decreaseRound(r *rand.Rand, g *Graph, size int) ([]EdgeChange, map[[2]int]Dist) {
+	repl := map[[2]int]Dist{}
+	var changes []EdgeChange
+	for len(changes) < size {
+		e := g.Edges()[r.Intn(g.M())]
+		key := [2]int{e.U, e.V}
+		if _, dup := repl[key]; dup || e.Weight < 2 {
+			continue
+		}
+		repl[key] = e.Weight / 2
+		changes = append(changes, EdgeChange{U: e.U, V: e.V, PrevWeight: e.Weight})
+	}
+	return changes, repl
+}
+
+// reloaded returns a copy of s read back from its envelope: the same
+// labels, and no kept graph.
+func reloaded(t *testing.T, s *SketchSet) *SketchSet {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadSketchSet(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestUpdateEdgesFirstRepairChecksWholeGraph: a built set and a loaded one
+// keep no graph, so their first repair checks the whole graph; a
+// successful non-empty batch keeps its graph, clones share it, and
+// neither an empty batch nor a rejected one moves it.
+func TestUpdateEdgesFirstRepairChecksWholeGraph(t *testing.T) {
+	g, err := NewRandomWeightedGraph(FamilyGeometric, 96, 5, 50, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := Build(g, kindOptions(KindTZ, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/set.dsk"
+	if err := SaveSketchSet(path, set, SetVersion2); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSketchSet(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	r := rand.New(rand.NewSource(23))
+	changes, repl := decreaseRound(r, g, 8)
+	ng := reweighted(t, g, repl)
+	for name, s := range map[string]*SketchSet{"built": set, "read": reloaded(t, set), "mapped": mapped} {
+		if s.graph != nil {
+			t.Fatalf("%s set keeps a graph before its first repair", name)
+		}
+		prev := make([]sketch.Label, s.N())
+		for u := range prev {
+			prev[u] = s.Sketch(u).label
+		}
+		coreChanges := make([]core.EdgeChange, len(changes))
+		for i, c := range changes {
+			coreChanges[i] = core.EdgeChange{U: c.U, V: c.V, PrevWeight: c.PrevWeight}
+		}
+		res, err := core.Repair(ng, prev, &core.Prior{Graph: s.graph}, coreChanges, congest.Config{})
+		if err != nil || res.LocalCheck {
+			t.Fatalf("%s set: first repair err %v, local check %v; want the whole-graph check", name, err, err == nil && res.LocalCheck)
+		}
+		if _, err := s.UpdateEdges(ng, changes); err != nil {
+			t.Fatalf("%s set: %v", name, err)
+		}
+		if s.graph != ng {
+			t.Fatalf("%s set does not keep the graph of its repair", name)
+		}
+		if c := s.Clone(); c.graph != ng {
+			t.Fatalf("%s set's clone does not share the kept graph", name)
+		}
+		if _, err := s.UpdateEdges(g, nil); err != nil || s.graph != ng {
+			t.Fatalf("%s set: empty batch err %v, kept graph moved %v", name, err, s.graph != ng)
+		}
+		if _, err := s.UpdateEdges(g, []EdgeChange{{U: 0, V: s.N()}}); err == nil || s.graph != ng {
+			t.Fatalf("%s set: malformed batch err %v, kept graph moved %v", name, err, s.graph != ng)
+		}
+		if reloaded(t, s).graph != nil {
+			t.Fatalf("%s set: the kept graph was persisted", name)
+		}
+	}
+}
+
+// TestUpdateEdgesHiddenChangeTakesWholeCheck: a second UpdateEdges whose
+// graph also differs from the kept one outside the batch (an edge made
+// heavier but not listed) ends exactly as it does on a set that keeps no
+// graph, for every kind: both reject it with the same error or both
+// produce the same bytes.
+func TestUpdateEdgesHiddenChangeTakesWholeCheck(t *testing.T) {
+	g0, err := NewRandomWeightedGraph(FamilyGeometric, 200, 10, 100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	changes1, repl1 := decreaseRound(r, g0, 8)
+	g1 := reweighted(t, g0, repl1)
+	changes2, repl2 := decreaseRound(r, g1, 8)
+	for _, kind := range allKinds {
+		set, err := Build(g0, Options{Kind: kind, K: 3, Eps: 0.25, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.UpdateEdges(g1, changes1); err != nil {
+			t.Fatalf("%s: first batch: %v", kind, err)
+		}
+		rejected, accepted := 0, 0
+		for trial := 0; trial < 24; trial++ {
+			h := g1.Edges()[r.Intn(g1.M())]
+			key := [2]int{h.U, h.V}
+			if _, listed := repl2[key]; listed {
+				continue
+			}
+			repl := map[[2]int]Dist{key: 4 * h.Weight}
+			for k, w := range repl2 {
+				repl[k] = w
+			}
+			g2 := reweighted(t, g1, repl)
+			kept, none := set.Clone(), reloaded(t, set)
+			_, errKept := kept.UpdateEdges(g2, changes2)
+			_, errNone := none.UpdateEdges(g2, changes2)
+			if (errKept == nil) != (errNone == nil) || errKept != nil && errKept.Error() != errNone.Error() {
+				t.Fatalf("%s hidden (%d,%d): set keeping a graph returned %v, set keeping none %v", kind, h.U, h.V, errKept, errNone)
+			}
+			if errKept != nil {
+				rejected++
+				continue
+			}
+			accepted++
+			requireSameBytes(t, string(kind)+" hidden change", kept, allSketchBytes(t, none))
+		}
+		t.Logf("%s: %d hidden increases rejected, %d repaired", kind, rejected, accepted)
+	}
 }
