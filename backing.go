@@ -161,7 +161,7 @@ func OpenSketchSet(path string) (*SketchSet, error) {
 	}
 	size := fi.Size()
 	if size == 0 {
-		return nil, quarantineOpen(path, corrupt(0, "empty envelope file"))
+		return nil, quarantine(path, corrupt(0, "empty envelope file"))
 	}
 	if size > math.MaxInt-1 {
 		return nil, fmt.Errorf("distsketch: %s: %d bytes exceed the addressable mapping size", path, size)
@@ -175,7 +175,7 @@ func OpenSketchSet(path string) (*SketchSet, error) {
 		if unmap != nil {
 			_ = unmap(data)
 		}
-		return nil, quarantineOpen(path, err)
+		return nil, quarantine(path, err)
 	}
 	b := &backing{data: data, mapped: mapped, unmap: unmap}
 	b.refs.Store(1)
@@ -220,18 +220,4 @@ func parseMappedEnvelope(data []byte) (*SketchSet, error) {
 	}
 	set.envCRC = crc
 	return set, nil
-}
-
-// quarantineOpen mirrors LoadSketchSet's corrupt-file handling for the
-// mmap open path: the typed corruption error gains the path, and the
-// file is renamed aside so the next restart does not crash-loop on it.
-func quarantineOpen(path string, err error) error {
-	var ce *ErrCorruptEnvelope
-	if errors.As(err, &ce) {
-		ce.Path = path
-		if qerr := os.Rename(path, path+".corrupt"); qerr == nil {
-			ce.Quarantined = path + ".corrupt"
-		}
-	}
-	return err
 }

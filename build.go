@@ -45,7 +45,7 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		for phase := o.K - 1; phase >= 0; phase-- {
 			set.cost.Phases = append(set.cost.Phases, PhaseCost{
 				Name:  fmt.Sprintf("phase %d", phase),
-				Stats: statsOf(res.Cost.PerPhase[phase]),
+				Stats: res.Cost.PerPhase[phase],
 			})
 		}
 		return set, nil
@@ -57,7 +57,7 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 			return nil, err
 		}
 		set := &SketchSet{kind: KindLandmark, labels: builtStore(KindLandmark, res.Labels), cost: costOf(res.Cost), net: res.Net}
-		set.cost.Phases = []PhaseCost{{Name: "landmark", Stats: statsOf(res.Cost.Total)}}
+		set.cost.Phases = []PhaseCost{{Name: "landmark", Stats: res.Cost.Total}}
 		return set, nil
 	case KindCDG:
 		res, err := core.BuildCDG(g, core.SlackOptions{
@@ -68,9 +68,9 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		}
 		set := &SketchSet{kind: KindCDG, labels: builtStore(KindCDG, res.Labels), cost: costOf(res.Cost)}
 		set.cost.Phases = []PhaseCost{
-			{Name: "wave", Stats: statsOf(res.WaveCost)},
-			{Name: "net-tz", Stats: statsOf(res.TZCost)},
-			{Name: "ship", Stats: statsOf(res.ShipCost)},
+			{Name: "wave", Stats: res.WaveCost},
+			{Name: "net-tz", Stats: res.TZCost},
+			{Name: "ship", Stats: res.ShipCost},
 		}
 		return set, nil
 	case KindGraceful:
@@ -84,7 +84,7 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 		for i, st := range res.PerLevel {
 			set.cost.Phases = append(set.cost.Phases, PhaseCost{
 				Name:  fmt.Sprintf("level %d", i+1),
-				Stats: statsOf(st),
+				Stats: st,
 			})
 		}
 		return set, nil
@@ -97,7 +97,7 @@ func BuildContext(ctx context.Context, g *Graph, opts Options) (*SketchSet, erro
 // (phases are filled per kind by the caller).
 func costOf(c core.CostBreakdown) CostBreakdown {
 	return CostBreakdown{
-		Total:           statsOf(c.Total),
+		Total:           c.Total,
 		DataMessages:    c.DataMessages,
 		EchoMessages:    c.EchoMessages,
 		ControlMessages: c.ControlMessages,

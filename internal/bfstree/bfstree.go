@@ -22,6 +22,7 @@ package bfstree
 
 import (
 	"fmt"
+	"slices"
 
 	"distsketch/internal/congest"
 	"distsketch/internal/graph"
@@ -306,7 +307,7 @@ func Build(g *graph.Graph, root int, cfg congest.Config) (*Tree, error) {
 		for _, c := range nd.children {
 			t.Children[u] = append(t.Children[u], nodeAt(g, u, c))
 		}
-		sortInts(t.Children[u])
+		slices.Sort(t.Children[u])
 		t.Depth[u] = nd.depth
 		t.In[u] = nd.in
 		t.Out[u] = nd.out
@@ -316,11 +317,3 @@ func Build(g *graph.Graph, root int, cfg congest.Config) (*Tree, error) {
 
 // nodeAt maps a neighbor index back to a node ID.
 func nodeAt(g *graph.Graph, u, idx int) int { return g.Adj(u)[idx].To }
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}

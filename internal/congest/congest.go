@@ -53,12 +53,11 @@ type Message interface {
 	Words() int
 }
 
-// Incoming is a delivered message together with its sending neighbor.
-// Edge is the receiver's adjacency index of the edge the message arrived
-// on, so ctx.Neighbors()[Edge] == From and ctx.WeightTo(Edge) is that
-// edge's weight; handlers need no NeighborIndex search.
+// Incoming is a delivered message. Edge is the receiver's adjacency index
+// of the edge the message arrived on: the sender is the receiver's
+// Edge-th neighbor and ctx.WeightTo(Edge) is that edge's weight, so
+// handlers need no NeighborIndex search.
 type Incoming struct {
-	From    int
 	Edge    int
 	Payload Message
 }
@@ -145,12 +144,15 @@ func (s Stats) String() string {
 	return fmt.Sprintf("rounds=%d messages=%d words=%d", s.Rounds, s.Messages, s.Words)
 }
 
-// Engine drives one simulation over a fixed graph and node set.
+// Engine drives one simulation over a fixed graph and node set. It keeps
+// no copy of the topology: each Context reads its node's arcs from the
+// graph, and per-edge state lives in flat arrays with one slot per arc,
+// in the graph's arc order, of which each Context holds its node's range.
 type Engine struct {
 	g     *graph.Graph
 	cfg   Config
 	nodes []Node
-	ctxs  []*Context
+	ctxs  []Context
 
 	inboxes [][]Incoming // current round's deliveries, indexed by node
 	scratch [][]Incoming // next round's buffers (reused)
@@ -216,7 +218,7 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 		g:          g,
 		cfg:        cfg,
 		nodes:      nodes,
-		ctxs:       make([]*Context, g.N()),
+		ctxs:       make([]Context, g.N()),
 		inboxes:    make([][]Incoming, g.N()),
 		scratch:    make([][]Incoming, g.N()),
 		pendingIn:  make([]bool, g.N()),
@@ -235,32 +237,36 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 	// Adjacency lists are sorted and free of parallel arcs, so visiting u
 	// in ascending order meets v's neighbors in v's own list order: u is
 	// always the next unclaimed entry of v's list, cursor[v].
-	cursor := make([]int, g.N())
-	for u := 0; u < g.N(); u++ {
+	arcs := 2 * g.M()
+	out := make([]Message, arcs)
+	rev := make([]int32, arcs)
+	var lastDue []int
+	if e.async {
+		lastDue = make([]int, arcs)
+	}
+	cursor := make([]int32, g.N())
+	lo := 0
+	for u := range e.ctxs {
 		adj := g.Adj(u)
-		nbrs := make([]int, len(adj))
-		wts := make([]graph.Dist, len(adj))
-		rev := make([]int, len(adj))
+		hi := lo + len(adj)
 		for i, a := range adj {
-			nbrs[i] = a.To
-			wts[i] = a.Weight
-			rev[i] = cursor[a.To]
+			rev[lo+i] = cursor[a.To]
 			cursor[a.To]++
 		}
-		ctx := &Context{
+		ctx := &e.ctxs[u]
+		*ctx = Context{
 			maxWords:  cfg.MaxWords,
 			wakeCount: e.wakeCount,
 			id:        u,
 			n:         g.N(),
-			neighbors: nbrs,
-			weights:   wts,
-			rev:       rev,
-			out:       make([]Message, len(adj)),
+			adj:       adj,
+			rev:       rev[lo:hi:hi],
+			out:       out[lo:hi:hi],
 		}
 		if e.async {
-			ctx.lastDue = make([]int, len(adj))
+			ctx.lastDue = lastDue[lo:hi:hi]
 		}
-		e.ctxs[u] = ctx
+		lo = hi
 	}
 	// Safety net for engines that are dropped without Close: the parked
 	// pool workers hold no reference back to the engine, so the engine
@@ -295,12 +301,11 @@ type Context struct {
 	wakeCount *atomic.Int64
 	id        int
 	n         int
-	neighbors []int // sorted neighbor IDs
-	weights   []graph.Dist
-	rev       []int // rev[i] = this node's index in neighbors[i]'s adjacency
+	adj       []graph.Arc // this node's arcs, sorted by To; owned by the graph
+	rev       []int32     // rev[i] = this node's index in adj[i].To's adjacency
 
 	round   int
-	out     []Message // out[i] = message queued for neighbors[i] this round
+	out     []Message // out[i] = message queued on adj[i] this round
 	bcast   Message   // this round's broadcast; excludes every out[i]
 	lastDue []int     // last scheduled delivery round per edge (FIFO); async engines only
 	wake    bool
@@ -318,19 +323,15 @@ func (c *Context) N() int { return c.n }
 func (c *Context) Round() int { return c.round }
 
 // Degree returns the number of incident edges.
-func (c *Context) Degree() int { return len(c.neighbors) }
-
-// Neighbors returns the sorted IDs of adjacent nodes. Callers must not
-// modify the returned slice.
-func (c *Context) Neighbors() []int { return c.neighbors }
+func (c *Context) Degree() int { return len(c.adj) }
 
 // WeightTo returns the weight of the edge to neighbor index i.
-func (c *Context) WeightTo(i int) graph.Dist { return c.weights[i] }
+func (c *Context) WeightTo(i int) graph.Dist { return c.adj[i].Weight }
 
 // NeighborIndex returns the adjacency index of the given neighbor ID, or -1.
 func (c *Context) NeighborIndex(id int) int {
-	i := sort.SearchInts(c.neighbors, id)
-	if i < len(c.neighbors) && c.neighbors[i] == id {
+	i := sort.Search(len(c.adj), func(i int) bool { return c.adj[i].To >= id })
+	if i < len(c.adj) && c.adj[i].To == id {
 		return i
 	}
 	return -1
@@ -343,7 +344,7 @@ func (c *Context) NeighborIndex(id int) int {
 func (c *Context) Send(i int, msg Message) {
 	c.check(msg)
 	if c.out[i] != nil || c.bcast != nil {
-		panic(fmt.Sprintf("congest: node %d sent twice to neighbor %d in round %d", c.id, c.neighbors[i], c.round))
+		panic(fmt.Sprintf("congest: node %d sent twice to neighbor %d in round %d", c.id, c.adj[i].To, c.round))
 	}
 	c.out[i] = msg
 	c.sent++
@@ -390,7 +391,7 @@ func (c *Context) WakeNextRound() {
 // length bound" (Section 3.2 of the paper) without in-band signalling.
 // Waking a fail-stopped node is a no-op.
 func (e *Engine) Wake(u int) {
-	ctx := e.ctxs[u]
+	ctx := &e.ctxs[u]
 	if ctx.crashed {
 		return
 	}
@@ -418,7 +419,7 @@ func (e *Engine) schedule(u int) {
 // crash permanently stalls the Section 3.3 COMPLETE convergecast rather
 // than corrupting labels.
 func (e *Engine) Crash(u int) {
-	ctx := e.ctxs[u]
+	ctx := &e.ctxs[u]
 	if ctx.crashed {
 		return
 	}
@@ -445,7 +446,7 @@ func (e *Engine) Init() {
 	e.initDone = true
 	before := e.stats
 	initNode := func(u int) {
-		ctx := e.ctxs[u]
+		ctx := &e.ctxs[u]
 		ctx.round = 0
 		e.nodes[u].Init(ctx)
 	}
@@ -561,7 +562,7 @@ func (e *Engine) stepActive() error {
 	before := e.stats
 	e.pool.run(len(e.active), func(i int) {
 		u := e.active[i]
-		ctx := e.ctxs[u]
+		ctx := &e.ctxs[u]
 		if ctx.crashed {
 			return // fail-stopped: executes nothing, deliveries are dropped
 		}
@@ -608,18 +609,18 @@ func (e *Engine) collect(ran []int) {
 	stamp := e.stats.Rounds + 1 // the round the scratch buffers will serve
 	crashes := e.crashes > 0
 	harvest := func(u int) {
-		ctx := e.ctxs[u]
+		ctx := &e.ctxs[u]
 		if ctx.wake {
 			e.schedule(u)
 		}
 		if msg := ctx.bcast; msg != nil {
 			ctx.bcast = nil
 			var copies int64
-			for i, v := range ctx.neighbors {
-				if crashes && e.ctxs[v].crashed {
+			for i, a := range ctx.adj {
+				if crashes && e.ctxs[a.To].crashed {
 					continue // dropped on the floor at a fail-stopped node
 				}
-				e.push(v, stamp, Incoming{From: u, Edge: ctx.rev[i], Payload: msg})
+				e.push(a.To, stamp, Incoming{Edge: int(ctx.rev[i]), Payload: msg})
 				copies++
 			}
 			delivered += copies
@@ -634,11 +635,11 @@ func (e *Engine) collect(ran []int) {
 				continue
 			}
 			ctx.out[i] = nil
-			v := ctx.neighbors[i]
+			v := ctx.adj[i].To
 			if crashes && e.ctxs[v].crashed {
 				continue
 			}
-			e.push(v, stamp, Incoming{From: u, Edge: ctx.rev[i], Payload: msg})
+			e.push(v, stamp, Incoming{Edge: int(ctx.rev[i]), Payload: msg})
 			delivered++
 			words += int64(msg.Words())
 		}
@@ -676,7 +677,7 @@ func (e *Engine) push(v, stamp int, in Incoming) {
 // the degree bounds every inbox and the buffer never regrows.
 func (e *Engine) open(bufs [][]Incoming, v int) {
 	if cap(bufs[v]) == 0 {
-		bufs[v] = make([]Incoming, 0, len(e.ctxs[v].neighbors))
+		bufs[v] = make([]Incoming, 0, len(e.ctxs[v].adj))
 	} else {
 		bufs[v] = bufs[v][:0]
 	}
@@ -694,7 +695,7 @@ func (e *Engine) collectAsync(ran []int) {
 	var words int64
 	var count int64
 	harvest := func(u int) {
-		ctx := e.ctxs[u]
+		ctx := &e.ctxs[u]
 		if ctx.wake {
 			e.schedule(u)
 		}
@@ -702,7 +703,7 @@ func (e *Engine) collectAsync(ran []int) {
 		if bcast == nil && ctx.sent == 0 {
 			return
 		}
-		for i, v := range ctx.neighbors {
+		for i, a := range ctx.adj {
 			msg := bcast
 			if msg == nil {
 				if msg = ctx.out[i]; msg == nil {
@@ -710,7 +711,7 @@ func (e *Engine) collectAsync(ran []int) {
 				}
 				ctx.out[i] = nil
 			}
-			if e.crashes > 0 && e.ctxs[v].crashed {
+			if e.crashes > 0 && e.ctxs[a.To].crashed {
 				continue // dropped at a fail-stopped node
 			}
 			due := now + 1 + int(e.delayRNG.Int64N(int64(e.cfg.MaxDelay)))
@@ -720,8 +721,8 @@ func (e *Engine) collectAsync(ran []int) {
 			ctx.lastDue[i] = due
 			e.seq++
 			heapPush(&e.future, futureDelivery{
-				due: due, seq: e.seq, to: v,
-				inc: Incoming{From: u, Edge: ctx.rev[i], Payload: msg},
+				due: due, seq: e.seq, to: a.To,
+				inc: Incoming{Edge: int(ctx.rev[i]), Payload: msg},
 			})
 			count++
 			words += int64(msg.Words())

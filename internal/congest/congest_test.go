@@ -133,11 +133,16 @@ func TestMessageAccounting(t *testing.T) {
 
 // edgeProbe floods like floodNode, relaying with per-edge Sends at even
 // IDs and with Broadcast at odd ones, and counts deliveries whose Edge
-// does not name the sender.
+// does not name the sender the message carries.
 type edgeProbe struct {
 	dist      int
 	seen, bad int
 }
+
+// probeMsg is edgeProbe's hop count together with its sender's ID.
+type probeMsg struct{ hops, from int }
+
+func (probeMsg) Words() int { return 2 }
 
 func (p *edgeProbe) Init(ctx *Context) {
 	p.dist = -1
@@ -151,10 +156,11 @@ func (p *edgeProbe) Round(ctx *Context, inbox []Incoming) {
 	improved := false
 	for _, in := range inbox {
 		p.seen++
-		if in.Edge < 0 || in.Edge >= ctx.Degree() || ctx.Neighbors()[in.Edge] != in.From {
+		m := in.Payload.(probeMsg)
+		if in.Edge < 0 || in.Edge >= ctx.Degree() || ctx.adj[in.Edge].To != m.from {
 			p.bad++
 		}
-		if m := in.Payload.(floodMsg); p.dist == -1 || m.hops < p.dist {
+		if p.dist == -1 || m.hops < p.dist {
 			p.dist = m.hops
 			improved = true
 		}
@@ -165,12 +171,12 @@ func (p *edgeProbe) Round(ctx *Context, inbox []Incoming) {
 }
 
 func (p *edgeProbe) relay(ctx *Context) {
-	msg := floodMsg{hops: p.dist + 1}
+	msg := probeMsg{hops: p.dist + 1, from: ctx.ID()}
 	if ctx.ID()%2 == 1 {
 		ctx.Broadcast(msg)
 		return
 	}
-	for i := range ctx.Neighbors() {
+	for i := 0; i < ctx.Degree(); i++ {
 		ctx.Send(i, msg)
 	}
 }
@@ -360,7 +366,9 @@ func TestContextTopologyView(t *testing.T) {
 	}
 	probe := &panicNode{f: func(ctx *Context) {
 		got.deg = ctx.Degree()
-		got.nbrs = append([]int(nil), ctx.Neighbors()...)
+		for _, a := range ctx.adj {
+			got.nbrs = append(got.nbrs, a.To)
+		}
 		got.w1 = ctx.WeightTo(ctx.NeighborIndex(2))
 		got.idx = ctx.NeighborIndex(1)
 	}}
@@ -396,6 +404,29 @@ func TestEngineNodeCountMismatchPanics(t *testing.T) {
 	expectPanic(t, "node count", func() {
 		NewEngine(g, []Node{&floodNode{}}, Config{})
 	})
+}
+
+// TestNewEngineAllocs: an engine costs the same constant number of
+// allocations on a graph 8 times larger, synchronous and asynchronous.
+// The topology is read from the graph and every per-edge array is one
+// allocation of 2m slots, so nothing is allocated per node.
+func TestNewEngineAllocs(t *testing.T) {
+	for _, cfg := range []Config{{}, {MaxDelay: 3}} {
+		var got []float64
+		for _, n := range []int{256, 2048} {
+			g := graph.Make(graph.FamilyGeometric, n, graph.UniformWeights(1, 100), 7)
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = &floodNode{}
+			}
+			got = append(got, testing.AllocsPerRun(5, func() {
+				NewEngine(g, nodes, cfg).Close()
+			}))
+		}
+		if got[0] != got[1] || got[1] > 16 {
+			t.Errorf("MaxDelay %d: NewEngine allocations on 256 and 2048 nodes = %v, want one constant ≤ 16", cfg.MaxDelay, got)
+		}
+	}
 }
 
 func TestQuiescentBeforeInitRuns(t *testing.T) {

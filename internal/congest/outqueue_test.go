@@ -3,6 +3,8 @@ package congest
 import (
 	"sync/atomic"
 	"testing"
+
+	"distsketch/internal/graph"
 )
 
 // TestOutQueues pins the per-edge discipline: each Flush sends one
@@ -10,7 +12,7 @@ import (
 // once per edge until it is sent and is built from current state when
 // sent, and the node asks for the next round while anything stays queued.
 func TestOutQueues(t *testing.T) {
-	ctx := &Context{maxWords: defaultMaxWords, wakeCount: new(atomic.Int64), neighbors: []int{1, 2}, out: make([]Message, 2)}
+	ctx := &Context{maxWords: defaultMaxWords, wakeCount: new(atomic.Int64), adj: []graph.Arc{{To: 1, Weight: 1}, {To: 2, Weight: 1}}, out: make([]Message, 2)}
 	q := NewOutQueues(2)
 	q.Push(0, floodMsg{1})
 	if got := q.PushSourceAll(7); got != 2 {

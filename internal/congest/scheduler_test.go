@@ -127,7 +127,7 @@ func (p *inboxOrderProbe) Round(ctx *Context, inbox []Incoming) {
 		p.multi++
 	}
 	for i := 1; i < len(inbox); i++ {
-		if inbox[i-1].From >= inbox[i].From {
+		if ctx.adj[inbox[i-1].Edge].To >= ctx.adj[inbox[i].Edge].To {
 			p.unordered++
 			break
 		}

@@ -148,10 +148,9 @@ type BunchItem struct {
 // Bunch items are kept sorted by ascending node ID with unique keys —
 // the same representation invariant LandmarkLabel.Entries carries. The
 // sorted order is what makes DistTo a branch-predictable binary search
-// (the probe QueryTZ issues per level) and QueryTZBest's bunch
-// intersection a zero-allocation two-pointer merge. Every producer — the
-// builders, the wire decoder, and the label-shipping pipeline —
-// maintains the invariant; Validate checks it.
+// (the probe QueryTZ issues per level). Every producer — the builders,
+// the wire decoder, and the label-shipping pipeline — maintains the
+// invariant; Validate checks it.
 type TZLabel struct {
 	Owner  int
 	K      int
@@ -542,59 +541,4 @@ func queryTZScan(a, b *TZLabel, bound graph.Dist) graph.Dist {
 		}
 	}
 	return graph.Inf
-}
-
-// QueryTZBest returns the best (smallest) pivot-through estimate over all
-// levels and shared bunch members, rather than stopping at the first
-// usable level. Always ≤ QueryTZ; used by the "best effort" query mode.
-//
-//sketchlint:hotpath
-func QueryTZBest(a, b *TZLabel) graph.Dist {
-	if a.Owner == b.Owner {
-		return 0
-	}
-	best := graph.Inf
-	best = considerPivots(a, b, best)
-	best = considerPivots(b, a, best)
-	// Any node in both bunches is a valid relay: a two-pointer merge over
-	// the sorted bunches finds every shared member in O(|a|+|b|).
-	ab, bb := a.Bunch, b.Bunch
-	i, j := 0, 0
-	for i < len(ab) && j < len(bb) {
-		switch {
-		case ab[i].Node < bb[j].Node:
-			i++
-		case ab[i].Node > bb[j].Node:
-			j++
-		default:
-			if est := graph.AddDist(ab[i].Dist, bb[j].Dist); est < best {
-				best = est
-			}
-			i++
-			j++
-		}
-	}
-	return best
-}
-
-// considerPivots folds every pivot-through estimate of x's chain probed
-// against y's bunch into the running minimum. A plain function rather
-// than a closure in QueryTZBest: the hot-path discipline forbids the
-// closure allocation, and the explicit accumulator keeps it trivially
-// inlinable.
-//
-//sketchlint:hotpath
-func considerPivots(x, y *TZLabel, best graph.Dist) graph.Dist {
-	for i := 0; i < len(x.Pivots); i++ {
-		p := x.Pivots[i]
-		if p.Node < 0 {
-			continue
-		}
-		if d, ok := y.DistTo(p.Node); ok {
-			if est := graph.AddDist(p.Dist, d); est < best {
-				best = est
-			}
-		}
-	}
-	return best
 }

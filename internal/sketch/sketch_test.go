@@ -189,18 +189,6 @@ func TestQueryTZNonMonotonePivots(t *testing.T) {
 	}
 }
 
-func TestQueryTZBestNotWorse(t *testing.T) {
-	labels := buildTestLabels(t)
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 4; v++ {
-			a, b := QueryTZ(labels[u], labels[v]), QueryTZBest(labels[u], labels[v])
-			if b > a {
-				t.Errorf("(%d,%d): best %d > first %d", u, v, b, a)
-			}
-		}
-	}
-}
-
 func TestQueryTZSymmetric(t *testing.T) {
 	labels := buildTestLabels(t)
 	for u := 0; u < 4; u++ {

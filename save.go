@@ -117,20 +117,25 @@ func LoadSketchSet(path string) (*SketchSet, error) {
 	set, err := ReadSketchSet(f)
 	cerr := f.Close()
 	if err != nil {
-		var ce *ErrCorruptEnvelope
-		if errors.As(err, &ce) {
-			ce.Path = path
-			// Quarantine rather than delete: the bytes may matter for
-			// forensics, but the serving path must stop crash-looping on
-			// them at every restart.
-			if qerr := os.Rename(path, path+".corrupt"); qerr == nil {
-				ce.Quarantined = path + ".corrupt"
-			}
-		}
-		return nil, err
+		return nil, quarantine(path, err)
 	}
 	if cerr != nil {
 		return nil, cerr
 	}
 	return set, nil
+}
+
+// quarantine is LoadSketchSet's and OpenSketchSet's corrupt-file
+// handling: a typed corruption error gains the path, and the file is
+// renamed aside rather than deleted. The bytes may matter for forensics,
+// but the serving path must stop crash-looping on them at every restart.
+func quarantine(path string, err error) error {
+	var ce *ErrCorruptEnvelope
+	if errors.As(err, &ce) {
+		ce.Path = path
+		if qerr := os.Rename(path, path+".corrupt"); qerr == nil {
+			ce.Quarantined = path + ".corrupt"
+		}
+	}
+	return err
 }

@@ -30,19 +30,11 @@ var ErrNodeRange = errors.New("node id out of range")
 var ErrRebuildRequired = errors.New("incremental repair cannot restore exact labels; rebuild the sketch set")
 
 // Stats is the CONGEST cost of a construction, one of its phases, or an
-// incremental repair: synchronous rounds executed, messages delivered,
-// and total message words — exactly the quantities the paper's theorems
-// bound.
-type Stats struct {
-	Rounds   int
-	Messages int64
-	Words    int64
-}
-
-// Add returns componentwise s + o.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{Rounds: s.Rounds + o.Rounds, Messages: s.Messages + o.Messages, Words: s.Words + o.Words}
-}
+// incremental repair: synchronous rounds executed (Rounds), messages
+// delivered (Messages), and total message words (Words) — exactly the
+// quantities the paper's theorems bound. Add and Sub combine costs
+// componentwise; String formats one as "rounds=R messages=M words=W".
+type Stats = congest.Stats
 
 // PhaseCost is the cost of one named construction phase.
 type PhaseCost struct {
@@ -71,10 +63,6 @@ type CostBreakdown struct {
 	ControlMessages int64
 	// SetupRounds is the leader-election/BFS-tree prologue (detection).
 	SetupRounds int
-}
-
-func statsOf(s congest.Stats) Stats {
-	return Stats{Rounds: s.Rounds, Messages: s.Messages, Words: s.Words}
 }
 
 // SketchSet is a built set of distance sketches: one Sketch per node
@@ -481,8 +469,8 @@ func (s *SketchSet) Messages() int64 { return s.cost.Total.Messages }
 // Words returns the total message words the construction sent.
 func (s *SketchSet) Words() int64 { return s.cost.Total.Words }
 
-// EdgeChange identifies, for UpdateEdges, one edge of the new topology
-// whose weight changed. PrevWeight is the edge's weight before the
+// EdgeChange identifies, for UpdateEdges, one edge (U, V) of the new
+// topology whose weight changed. PrevWeight is the edge's weight before the
 // change when the caller knows it (a server holding the pre-change graph
 // does), or 0 for unknown. Landmark repairs never consult it. TZ repairs
 // are verified exact against the new graph directly and use it only for
@@ -495,10 +483,7 @@ func (s *SketchSet) Words() int64 { return s.cost.Total.Words }
 // demands a certified decrease-only batch. A CDG or graceful batch with
 // an unknown PrevWeight, or one covering an increase, is rejected with
 // ErrRebuildRequired.
-type EdgeChange struct {
-	U, V       int
-	PrevWeight Dist
-}
+type EdgeChange = core.EdgeChange
 
 // UpdateEdges repairs the set in place after a batch of edge weight
 // changes, for every sketch kind, in one clone-repair-verify step. g
@@ -587,11 +572,7 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 	for u := range prev {
 		prev[u] = old.slots[u].Load().label
 	}
-	coreEdges := make([]core.EdgeChange, len(edges))
-	for i, e := range edges {
-		coreEdges[i] = core.EdgeChange{U: e.U, V: e.V, PrevWeight: e.PrevWeight}
-	}
-	res, err := core.Repair(g, prev, &core.Prior{Graph: s.graph, Net: s.net}, coreEdges, congest.Config{})
+	res, err := core.Repair(g, prev, &core.Prior{Graph: s.graph, Net: s.net}, edges, congest.Config{})
 	if err != nil {
 		if errors.Is(err, core.ErrUnsound) {
 			return Stats{}, fmt.Errorf("distsketch: %v: %w", err, ErrRebuildRequired)
@@ -611,9 +592,8 @@ func (s *SketchSet) UpdateEdges(g *Graph, edges []EdgeChange) (Stats, error) {
 		// graph they were exact on before.
 		s.graph = g
 	}
-	repair := statsOf(res.Cost)
-	s.cost.Total = s.cost.Total.Add(repair)
-	return repair, nil
+	s.cost.Total = s.cost.Total.Add(res.Cost)
+	return res.Cost, nil
 }
 
 // Sketch-set envelope: a versioned container so a built set can be saved
