@@ -58,7 +58,7 @@ func TestGoldenBuildExecution(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if _, err := set.WriteToVersion(&buf, SetVersion2); err != nil {
+			if _, err := set.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
 			sum := sha256.Sum256(buf.Bytes())

@@ -69,7 +69,7 @@ func TestCloneIsolatesOriginalRepair(t *testing.T) {
 // strip the other's lazy plumbing.
 func TestCloneSharesLazyDecodeCache(t *testing.T) {
 	eager := faultSet(t)
-	lazy, err := ReadSketchSet(bytes.NewReader(envelopeBytes(t, eager, SetVersion2)))
+	lazy, err := ReadSketchSet(bytes.NewReader(envelopeBytes(t, eager)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestEnvelopeV1Rejected(t *testing.T) {
 // included — byte for byte.
 func TestGoldenEnvelopeV2(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := goldenEnvelopeSet().WriteToVersion(&buf, SetVersion2); err != nil {
+	if _, err := goldenEnvelopeSet().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), goldenV2) {
@@ -142,7 +142,7 @@ func TestLazyLoadEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var v2 bytes.Buffer
-			if _, err := eager.WriteToVersion(&v2, SetVersion2); err != nil {
+			if _, err := eager.WriteTo(&v2); err != nil {
 				t.Fatal(err)
 			}
 			// The lazy load honors the DISTSKETCH_TEST_BACKING matrix: the

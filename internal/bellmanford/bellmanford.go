@@ -73,8 +73,7 @@ func SSSP(g *graph.Graph, src int, cfg congest.Config) (*SSSPResult, error) {
 		nodes[u] = sn[u]
 	}
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, err
 	}
 	res := &SSSPResult{Source: src, Dist: make([]graph.Dist, g.N()), Stats: eng.Stats()}

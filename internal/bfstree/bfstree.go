@@ -282,8 +282,7 @@ func Build(g *graph.Graph, root int, cfg congest.Config) (*Tree, error) {
 		nodes[u] = tns[u]
 	}
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, err
 	}
 	t := &Tree{

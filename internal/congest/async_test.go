@@ -16,7 +16,7 @@ func TestAsyncFloodSameFixedPoint(t *testing.T) {
 			nodes[i] = &floodNode{}
 		}
 		e := NewEngine(g, nodes, Config{MaxDelay: delay, Seed: uint64(delay)})
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
 		}
 		want := graph.BFSHops(g, 0)
@@ -36,7 +36,7 @@ func TestAsyncDeterministic(t *testing.T) {
 			nodes[i] = &floodNode{}
 		}
 		e := NewEngine(g, nodes, Config{MaxDelay: 3, Seed: seed, Sequential: true})
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
 		}
 		dists := make([]int, g.N())
@@ -69,7 +69,7 @@ func TestAsyncTakesMoreRounds(t *testing.T) {
 			nodes[i] = &floodNode{}
 		}
 		e := NewEngine(g, nodes, Config{MaxDelay: delay, Seed: 1})
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
 		}
 		return e.Stats()
@@ -91,7 +91,7 @@ func TestAsyncFIFOPerEdge(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
 	recv := &fifoCheckNode{}
 	e := NewEngine(g, []Node{&counterNode{limit: 50}, recv}, Config{MaxDelay: 5, Seed: 9})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if recv.violations > 0 {

@@ -58,7 +58,6 @@ func benchWaves(b *testing.B, g *graph.Graph, cfg Config) {
 		nodes[j] = pulses[j]
 	}
 	e := NewEngine(g, nodes, cfg)
-	defer e.Close()
 	e.Init()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,7 +66,7 @@ func benchWaves(b *testing.B, g *graph.Graph, cfg Config) {
 			p.dist = -1
 		}
 		e.Wake(0)
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +80,7 @@ func benchWaves(b *testing.B, g *graph.Graph, cfg Config) {
 }
 
 // benchBuildAndFlood times the end-to-end shape callers see: construct the
-// engine, run one flood to quiescence, tear down.
+// engine and run one flood to quiescence.
 func benchBuildAndFlood(b *testing.B, g *graph.Graph, cfg Config) {
 	b.Helper()
 	b.ReportAllocs()
@@ -92,10 +91,9 @@ func benchBuildAndFlood(b *testing.B, g *graph.Graph, cfg Config) {
 			nodes[j] = &floodNode{}
 		}
 		e := NewEngine(g, nodes, cfg)
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			b.Fatal(err)
 		}
-		e.Close()
 	}
 }
 
@@ -123,7 +121,7 @@ func BenchmarkEngineWaveGeometric20k(b *testing.B) {
 	b.Run("par", func(b *testing.B) { benchWaves(b, g, Config{}) })
 }
 
-// End-to-end including engine construction and teardown.
+// End-to-end including engine construction.
 func BenchmarkEngineBuildFloodTorus50k(b *testing.B) {
 	benchBuildAndFlood(b, torus50k(), Config{Sequential: true})
 }

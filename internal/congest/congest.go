@@ -27,18 +27,22 @@
 // receiver's adjacency index of the edge it arrived on (Incoming.Edge),
 // and a broadcast occupies one slot at the sender that collect expands
 // across its edges, so neither side pays a search or a per-edge queue.
+// Inboxes, like all per-edge state, are windows of flat arrays with one
+// slot per arc, allocated once in NewEngine.
 //
-// Within a round all active nodes execute concurrently on a persistent
-// worker pool; because interaction happens only through the round-boundary
-// message buffers, the execution is deterministic regardless of goroutine
-// schedule.
+// Within a round all active nodes execute concurrently on worker
+// goroutines that live for one run call: Init, RunRounds and
+// RunUntilQuiescent start them on their first parallel round and stop
+// them before returning, so an engine holds no resource between calls and
+// needs no closing. Because interaction happens only through the
+// round-boundary message buffers, the execution is deterministic
+// regardless of goroutine schedule.
 package congest
 
 import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -80,8 +84,10 @@ type Config struct {
 	// carry a (node ID, distance) pair plus a small type tag; the default
 	// of 3 words accommodates that. Zero means the default.
 	MaxWords int
-	// MaxRounds aborts the run if exceeded (safety net against livelock in
-	// buggy protocols). Zero means the default of 50 million.
+	// MaxRounds caps the rounds an engine executes over its lifetime, over
+	// all run calls together; a run that would exceed it returns
+	// ErrMaxRounds (safety net against livelock in buggy protocols). Zero
+	// means the default of 50 million.
 	MaxRounds int
 	// Sequential forces single-goroutine execution (useful under -race and
 	// for the determinism tests). Default is parallel.
@@ -154,8 +160,14 @@ type Engine struct {
 	nodes []Node
 	ctxs  []Context
 
-	inboxes [][]Incoming // current round's deliveries, indexed by node
-	scratch [][]Incoming // next round's buffers (reused)
+	// inboxes[u] is u's deliveries for round inboxStamp[u], a window of
+	// one flat array with a slot per arc in the graph's arc order: an edge
+	// carries at most one message per direction and round, so u's degree
+	// bounds its inbox. One array serves every round. Synchronous
+	// deliveries for the next round are appended in collect, after every
+	// node of this round has returned; asynchronous ones in deliverDue,
+	// before any node of their round runs.
+	inboxes [][]Incoming
 
 	// Active-set scheduler state. pending holds the nodes scheduled for
 	// the next step (receivers of in-flight messages plus wake requests);
@@ -168,17 +180,9 @@ type Engine struct {
 	pending    []int
 	pendingIn  []bool
 	inboxStamp []int
-	// wakeCount is a separate allocation shared with every Context. A
-	// Context must NOT point back at the Engine (directly or into its
-	// allocation): Engine→ctxs→Engine would be a cycle through the
-	// finalized object, and Go never runs finalizers on such cycles — the
-	// worker-pool cleanup for dropped engines would silently leak.
-	wakeCount *atomic.Int64
+	wakeCount  atomic.Int64
 
-	// pool is a separate allocation, NOT an inline field: its parked
-	// workers hold a *workerPool, and if that pointed into the Engine the
-	// engine could never be collected (and its cleanup never run).
-	pool *workerPool
+	pool workerPool // the current run call's workers
 
 	// done caches Config.Ctx.Done(); nil when the run is not cancelable
 	// (no context, or a context that can never be canceled), so the
@@ -220,11 +224,8 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 		nodes:      nodes,
 		ctxs:       make([]Context, g.N()),
 		inboxes:    make([][]Incoming, g.N()),
-		scratch:    make([][]Incoming, g.N()),
 		pendingIn:  make([]bool, g.N()),
 		inboxStamp: make([]int, g.N()),
-		wakeCount:  new(atomic.Int64),
-		pool:       &workerPool{},
 		async:      cfg.MaxDelay > 1,
 	}
 	if e.async {
@@ -240,6 +241,7 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 	arcs := 2 * g.M()
 	out := make([]Message, arcs)
 	rev := make([]int32, arcs)
+	inbox := make([]Incoming, arcs)
 	var lastDue []int
 	if e.async {
 		lastDue = make([]int, arcs)
@@ -256,7 +258,7 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 		ctx := &e.ctxs[u]
 		*ctx = Context{
 			maxWords:  cfg.MaxWords,
-			wakeCount: e.wakeCount,
+			wakeCount: &e.wakeCount,
 			id:        u,
 			n:         g.N(),
 			adj:       adj,
@@ -266,22 +268,10 @@ func NewEngine(g *graph.Graph, nodes []Node, cfg Config) *Engine {
 		if e.async {
 			ctx.lastDue = lastDue[lo:hi:hi]
 		}
+		e.inboxes[u] = inbox[lo:lo:hi]
 		lo = hi
 	}
-	// Safety net for engines that are dropped without Close: the parked
-	// pool workers hold no reference back to the engine, so the engine
-	// becomes collectable and the cleanup releases them.
-	runtime.SetFinalizer(e, func(e *Engine) { e.pool.shutdown() })
 	return e
-}
-
-// Close releases the engine's persistent worker goroutines. It is
-// idempotent; the engine must not be used afterwards. Engines that are
-// simply dropped are cleaned up by the garbage collector, so Close is an
-// optimization for promptness, not a requirement.
-func (e *Engine) Close() {
-	e.pool.shutdown()
-	runtime.SetFinalizer(e, nil)
 }
 
 // Stats returns the accumulated cost counters.
@@ -294,11 +284,8 @@ func (e *Engine) Node(u int) Node { return e.nodes[u] }
 // knowledge, and the per-round send interface. A Context is only valid
 // inside the Init/Round call it is passed to.
 type Context struct {
-	// No reference back to the Engine (see Engine.wakeCount): the Context
-	// carries the few engine facts it needs by value or via shared
-	// side allocations.
 	maxWords  int
-	wakeCount *atomic.Int64
+	wakeCount *atomic.Int64 // &Engine.wakeCount
 	id        int
 	n         int
 	adj       []graph.Arc // this node's arcs, sorted by To; owned by the graph
@@ -440,6 +427,7 @@ var ErrMaxRounds = fmt.Errorf("congest: exceeded max rounds")
 // Init runs every node's Init hook. It is called implicitly by the Run
 // methods on first use; calling it explicitly is allowed (once).
 func (e *Engine) Init() {
+	defer e.pool.stop()
 	if e.initDone {
 		return
 	}
@@ -463,6 +451,7 @@ func (e *Engine) Init() {
 
 // RunRounds executes exactly r additional rounds (after Init).
 func (e *Engine) RunRounds(r int) error {
+	defer e.pool.stop()
 	e.Init()
 	for i := 0; i < r; i++ {
 		if err := e.step(); err != nil {
@@ -473,18 +462,13 @@ func (e *Engine) RunRounds(r int) error {
 }
 
 // RunUntilQuiescent executes rounds until no messages are in flight and no
-// node has requested a wake-up, or until maxRounds (0 = Config.MaxRounds)
-// is exceeded. Returns the number of rounds executed.
-func (e *Engine) RunUntilQuiescent(maxRounds int) (int, error) {
+// node has requested a wake-up, or until the engine would exceed
+// Config.MaxRounds. Returns the number of rounds this call executed.
+func (e *Engine) RunUntilQuiescent() (int, error) {
+	defer e.pool.stop()
 	e.Init()
-	if maxRounds <= 0 {
-		maxRounds = e.cfg.MaxRounds
-	}
 	start := e.stats.Rounds
 	for !e.Quiescent() {
-		if e.stats.Rounds-start >= maxRounds {
-			return e.stats.Rounds - start, fmt.Errorf("%w (%d)", ErrMaxRounds, maxRounds)
-		}
 		if err := e.step(); err != nil {
 			return e.stats.Rounds - start, err
 		}
@@ -597,9 +581,9 @@ func (e *Engine) stepActive() error {
 // are harvested (ran == nil means all nodes, used after Init). Harvesting
 // runs serially and in (sender, adjacency) order, so every inbox is
 // deterministically ordered. In synchronous mode messages land in the
-// next round's buffers directly; in asynchronous mode each is scheduled
-// heapwise with its sampled delay. Messages to fail-stopped nodes are
-// dropped and not counted.
+// receivers' inboxes for the next round directly; in asynchronous mode
+// each is scheduled heapwise with its sampled delay. Messages to
+// fail-stopped nodes are dropped and not counted.
 func (e *Engine) collect(ran []int) {
 	if e.async {
 		e.collectAsync(ran)
@@ -654,33 +638,21 @@ func (e *Engine) collect(ran []int) {
 			harvest(u)
 		}
 	}
-	e.inboxes, e.scratch = e.scratch, e.inboxes
 	e.stats.Messages += delivered
 	e.stats.Words += words
 	e.delivered = delivered
 }
 
 // push appends in to v's inbox for round stamp. v's first delivery of the
-// round readies the buffer (lazy per-receiver reset) and schedules v.
+// round truncates what an older round left (lazy per-receiver reset) and
+// schedules v.
 func (e *Engine) push(v, stamp int, in Incoming) {
 	if e.inboxStamp[v] != stamp {
 		e.inboxStamp[v] = stamp
-		e.open(e.scratch, v)
+		e.inboxes[v] = e.inboxes[v][:0]
 		e.schedule(v)
 	}
-	e.scratch[v] = append(e.scratch[v], in)
-}
-
-// open readies bufs[v] for a round's deliveries: it truncates what an
-// older round left, or allocates the buffer at v's degree on its first
-// use. An edge carries at most one message per direction and round, so
-// the degree bounds every inbox and the buffer never regrows.
-func (e *Engine) open(bufs [][]Incoming, v int) {
-	if cap(bufs[v]) == 0 {
-		bufs[v] = make([]Incoming, 0, len(e.ctxs[v].adj))
-	} else {
-		bufs[v] = bufs[v][:0]
-	}
+	e.inboxes[v] = append(e.inboxes[v], in)
 }
 
 // collectAsync schedules each queued message for a future round with a
@@ -743,19 +715,12 @@ func (e *Engine) collectAsync(ran []int) {
 }
 
 // deliverDue moves every message scheduled for the given round into its
-// destination inbox and schedules the receivers to run. Receivers'
-// inboxes are truncated lazily on first delivery (the stamp marks them
-// live); untouched inboxes keep stale content that no node will ever see.
+// destination inbox and schedules the receivers to run.
 func (e *Engine) deliverDue(round int) {
 	var delivered int64
 	for len(e.future) > 0 && e.future[0].due <= round {
 		d := heapPop(&e.future)
-		if e.inboxStamp[d.to] != round {
-			e.inboxStamp[d.to] = round
-			e.open(e.inboxes, d.to)
-		}
-		e.schedule(d.to)
-		e.inboxes[d.to] = append(e.inboxes[d.to], d.inc)
+		e.push(d.to, round, d.inc)
 		delivered++
 	}
 	e.delivered = delivered

@@ -48,7 +48,7 @@ func runFlood(t *testing.T, g *graph.Graph, cfg Config) (*Engine, []int) {
 		nodes[i] = &floodNode{}
 	}
 	e := NewEngine(g, nodes, cfg)
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	dists := make([]int, g.N())
@@ -121,9 +121,8 @@ func TestMessageAccounting(t *testing.T) {
 		nodes[i] = &floodNode{}
 	}
 	e = NewEngine(g, nodes, Config{})
-	defer e.Close()
 	e.Crash(5)
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats(); got.Messages != 30 || got.Words != 60 {
@@ -203,10 +202,9 @@ func TestIncomingEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Crash(g.N() / 2)
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
 		}
-		e.Close()
 		var seen, bad int
 		for _, p := range probes {
 			seen += p.seen
@@ -306,8 +304,8 @@ func (w *wakeNode) Round(ctx *Context, inbox []Incoming) {
 func TestWakeMechanism(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
 	n0 := &wakeNode{limit: 5}
-	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{})
-	rounds, err := e.RunUntilQuiescent(100)
+	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{MaxRounds: 100})
+	rounds, err := e.RunUntilQuiescent()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +322,17 @@ func TestWakeMechanism(t *testing.T) {
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
-	e := NewEngine(g, []Node{&wakeNode{limit: 1 << 30}, &wakeNode{}}, Config{})
-	_, err := e.RunUntilQuiescent(10)
+	e := NewEngine(g, []Node{&wakeNode{limit: 1 << 30}, &wakeNode{}}, Config{MaxRounds: 10})
+	rounds, err := e.RunUntilQuiescent()
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+	if rounds != 10 {
+		t.Errorf("rounds = %d, want 10", rounds)
+	}
+	// The cap is a total over the engine's run calls.
+	if err := e.RunRounds(1); !errors.Is(err, ErrMaxRounds) {
+		t.Fatalf("RunRounds past the cap: err = %v, want ErrMaxRounds", err)
 	}
 }
 
@@ -420,7 +425,7 @@ func TestNewEngineAllocs(t *testing.T) {
 				nodes[i] = &floodNode{}
 			}
 			got = append(got, testing.AllocsPerRun(5, func() {
-				NewEngine(g, nodes, cfg).Close()
+				NewEngine(g, nodes, cfg)
 			}))
 		}
 		if got[0] != got[1] || got[1] > 16 {
@@ -433,8 +438,8 @@ func TestQuiescentBeforeInitRuns(t *testing.T) {
 	// A network where nobody sends in Init and nobody wakes is quiescent
 	// after 0 rounds.
 	g := graph.Path(2, graph.UnitWeights(), 0)
-	e := NewEngine(g, []Node{&wakeNode{}, &wakeNode{}}, Config{})
-	rounds, err := e.RunUntilQuiescent(10)
+	e := NewEngine(g, []Node{&wakeNode{}, &wakeNode{}}, Config{MaxRounds: 10})
+	rounds, err := e.RunUntilQuiescent()
 	if err != nil || rounds != 0 {
 		t.Errorf("rounds=%d err=%v, want 0,nil", rounds, err)
 	}
@@ -450,7 +455,7 @@ func BenchmarkFloodER512(b *testing.B) {
 			nodes[j] = &floodNode{}
 		}
 		e := NewEngine(g, nodes, Config{})
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,7 +465,7 @@ func ExampleEngine() {
 	g := graph.Path(3, graph.UnitWeights(), 0)
 	nodes := []Node{&floodNode{}, &floodNode{}, &floodNode{}}
 	e := NewEngine(g, nodes, Config{})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		panic(err)
 	}
 	for i := 0; i < 3; i++ {

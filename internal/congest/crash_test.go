@@ -16,7 +16,7 @@ func TestCrashStopsExecution(t *testing.T) {
 	}
 	e := NewEngine(g, nodes, Config{})
 	e.Crash(2)
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.Node(1).(*floodNode).dist; d != 1 {
@@ -44,7 +44,7 @@ func TestCrashMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Crash(2)
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.Node(4).(*floodNode).dist; d != 4 {
@@ -55,12 +55,12 @@ func TestCrashMidRun(t *testing.T) {
 func TestCrashedWakeIgnored(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
 	n0 := &wakeNode{limit: 1 << 20}
-	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{})
+	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{MaxRounds: 3 + 100})
 	if err := e.RunRounds(3); err != nil {
 		t.Fatal(err)
 	}
 	e.Crash(0)
-	rounds, err := e.RunUntilQuiescent(100)
+	rounds, err := e.RunUntilQuiescent()
 	if err != nil {
 		t.Fatalf("crashed waker must not livelock: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestCrashAsyncDropsInFlight(t *testing.T) {
 	nodes := []Node{&floodNode{}, &floodNode{}, &floodNode{}}
 	e := NewEngine(g, nodes, Config{MaxDelay: 6, Seed: 2})
 	e.Crash(1)
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.Node(2).(*floodNode).dist; d != -1 {

@@ -16,20 +16,16 @@ const parallelThreshold = 64
 const minChunk = 16
 
 // workerPool runs per-round node fan-outs on a fixed set of goroutines
-// that live for the engine's lifetime. Workers are started lazily on the
-// first parallel round and park on a channel between rounds; run releases
-// them with one token each and waits on a barrier until every token has
-// been consumed and the shared work cursor is exhausted. Between rounds
-// the pool drops its reference to the job closure, so a parked pool does
-// not pin the engine (which lets the engine's cleanup run and shut the
-// workers down when the engine is dropped without Close).
+// that live for one run call. run starts them on the call's first
+// parallel round; between rounds they park on the token channel, and run
+// releases them with one token each and waits on a barrier until every
+// token has been consumed and the shared work cursor is exhausted. stop
+// closes the channel, which ends the workers' range over it, and waits
+// on the same barrier until every worker has left its loop.
 type workerPool struct {
-	startOnce sync.Once
-	stopOnce  sync.Once
-	workers   int
-	start     chan struct{} // one token per worker per round
-	stop      chan struct{}
-	barrier   sync.WaitGroup
+	workers int
+	start   chan struct{} // one token per worker per round; nil while no workers run
+	barrier sync.WaitGroup
 
 	// Per-round job state: written by run before the tokens are sent (the
 	// channel send publishes them), read only by workers holding a token.
@@ -50,43 +46,29 @@ func (p *workerPool) run(n int, f func(int), sequential bool) {
 		}
 		return
 	}
-	p.startOnce.Do(p.startWorkers)
-	p.f, p.n = f, n
-	p.chunk = n / (p.workers * 4)
-	if p.chunk < minChunk {
-		p.chunk = minChunk
+	if p.start == nil {
+		p.workers = max(runtime.GOMAXPROCS(0), 1)
+		p.start = make(chan struct{}, p.workers)
+		for w := 0; w < p.workers; w++ {
+			go p.loop(p.start)
+		}
 	}
+	p.f, p.n = f, n
+	p.chunk = max(n/(p.workers*4), minChunk)
 	p.next.Store(0)
 	p.barrier.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.start <- struct{}{}
 	}
 	p.barrier.Wait()
-	p.f = nil // drop the ref: a parked pool must not pin the engine
 }
 
-func (p *workerPool) startWorkers() {
-	p.workers = runtime.GOMAXPROCS(0)
-	if p.workers < 1 {
-		p.workers = 1
+func (p *workerPool) loop(start <-chan struct{}) {
+	for range start {
+		p.drain()
+		p.barrier.Done()
 	}
-	p.start = make(chan struct{}, p.workers)
-	p.stop = make(chan struct{})
-	for w := 0; w < p.workers; w++ {
-		go p.loop()
-	}
-}
-
-func (p *workerPool) loop() {
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.start:
-			p.drain()
-			p.barrier.Done()
-		}
-	}
+	p.barrier.Done()
 }
 
 // drain claims chunks off the shared cursor until the round's indices are
@@ -108,12 +90,13 @@ func (p *workerPool) drain() {
 	}
 }
 
-// shutdown terminates the workers (idempotent; parked workers exit, a pool
-// that never started is a no-op).
-func (p *workerPool) shutdown() {
-	p.stopOnce.Do(func() {
-		if p.stop != nil {
-			close(p.stop)
-		}
-	})
+// stop ends the workers, if any run, and returns once they have; the
+// next parallel round starts new ones.
+func (p *workerPool) stop() {
+	if p.start != nil {
+		p.barrier.Add(p.workers)
+		close(p.start)
+		p.barrier.Wait()
+		p.start = nil
+	}
 }

@@ -23,8 +23,7 @@ func floodOutcome(t *testing.T, g *graph.Graph, cfg Config) (Stats, []int, []Rou
 		nodes[i] = &floodNode{}
 	}
 	e := NewEngine(g, nodes, cfg)
-	defer e.Close()
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	dists := make([]int, g.N())
@@ -149,10 +148,9 @@ func TestInboxOrderAscendingFrom(t *testing.T) {
 			nodes[i] = probes[i]
 		}
 		e := NewEngine(g, nodes, Config{Sequential: sequential})
-		if _, err := e.RunUntilQuiescent(0); err != nil {
+		if _, err := e.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
 		}
-		e.Close()
 		var multi int
 		for v, p := range probes {
 			if p.unordered > 0 {
@@ -198,7 +196,6 @@ func TestWakerAndReceiverRunsOnce(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights(), 0)
 	n1 := &wakeAndReceiveNode{wakeFirst: true}
 	e := NewEngine(g, []Node{&floodNode{}, n1, &floodNode{}}, Config{})
-	defer e.Close()
 	if err := e.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +242,7 @@ func TestWakeRoundSeesEmptyInboxAfterDelivery(t *testing.T) {
 		}
 	}}
 	e := NewEngine(g, []Node{sender, probe}, Config{})
-	defer e.Close()
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if !probe.sawEmpty {
@@ -259,7 +255,6 @@ func TestWakeRoundSeesEmptyInboxAfterDelivery(t *testing.T) {
 func TestCrashConsumesPendingWake(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
 	e := NewEngine(g, []Node{&wakeNode{limit: 1 << 20}, &wakeNode{}}, Config{})
-	defer e.Close()
 	if err := e.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
@@ -277,15 +272,14 @@ func TestCrashConsumesPendingWake(t *testing.T) {
 
 func TestWakeCrashedNodeIsNoop(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
-	e := NewEngine(g, []Node{&wakeNode{}, &wakeNode{}}, Config{})
-	defer e.Close()
+	e := NewEngine(g, []Node{&wakeNode{}, &wakeNode{}}, Config{MaxRounds: 10})
 	e.Init()
 	e.Crash(0)
 	e.Wake(0)
 	if !e.Quiescent() {
 		t.Error("waking a crashed node must not schedule it")
 	}
-	rounds, err := e.RunUntilQuiescent(10)
+	rounds, err := e.RunUntilQuiescent()
 	if err != nil || rounds != 0 {
 		t.Errorf("rounds=%d err=%v, want 0,nil", rounds, err)
 	}
@@ -301,15 +295,14 @@ func TestWakeAfterQuiescenceReschedules(t *testing.T) {
 		ws[i] = &wakeNode{}
 		nodes[i] = ws[i]
 	}
-	e := NewEngine(g, nodes, Config{})
-	defer e.Close()
-	if _, err := e.RunUntilQuiescent(10); err != nil {
+	e := NewEngine(g, nodes, Config{MaxRounds: 4 * 10})
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	for phase := 0; phase < 3; phase++ {
 		ws[2].limit = ws[2].wakes + 1 // allow exactly one more wake-run
 		e.Wake(2)
-		rounds, err := e.RunUntilQuiescent(10)
+		rounds, err := e.RunUntilQuiescent()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +320,6 @@ func awaitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= want {
 			return
 		}
@@ -338,64 +330,31 @@ func awaitGoroutines(t *testing.T, want int) {
 	}
 }
 
-func runParallelFlood(t *testing.T) *Engine {
-	t.Helper()
-	g := graph.Make(graph.FamilyGrid, 512, graph.UnitWeights(), 1)
+// TestRunReleasesWorkers: the worker goroutines of a parallel run live
+// for that call only. After each run call the goroutine count is back at
+// its baseline while the engine is still reachable, and the next call
+// starts new workers and finishes the flood.
+func TestRunReleasesWorkers(t *testing.T) {
+	g := graph.Make(graph.FamilyER, 512, graph.UnitWeights(), 1)
 	nodes := make([]Node, g.N())
 	for i := range nodes {
 		nodes[i] = &floodNode{}
 	}
+	base := runtime.NumGoroutine()
 	e := NewEngine(g, nodes, Config{})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if err := e.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
-	return e
-}
-
-func TestCloseReleasesWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := runParallelFlood(t)
-	e.Close()
 	awaitGoroutines(t, base)
-}
-
-func TestDroppedEngineReleasesWorkers(t *testing.T) {
-	// An engine dropped without Close must still shed its worker
-	// goroutines once collected: the parked pool holds no reference back
-	// to the engine, so GC can finalize it and shut the pool down. This
-	// guards against the pool ever being embedded in (or pinning) the
-	// engine allocation.
-	//
-	// Prewarm the runtime's finalizer goroutine (it starts on first
-	// finalization and never exits) so it doesn't count against the
-	// baseline.
-	done := make(chan struct{})
-	runtime.SetFinalizer(new(int), func(*int) { close(done) })
-	for stop := false; !stop; {
-		runtime.GC()
-		select {
-		case <-done:
-			stop = true
-		case <-time.After(10 * time.Millisecond):
+	if _, err := e.RunUntilQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+	awaitGoroutines(t, base)
+	for v, h := range graph.BFSHops(g, 0) {
+		if d := e.Node(v).(*floodNode).dist; d != h {
+			t.Fatalf("node %d: flood dist %d, BFS %d", v, d, h)
 		}
 	}
-	base := runtime.NumGoroutine()
-	runParallelFlood(t) // dropped immediately
-	awaitGoroutines(t, base)
-}
-
-func TestCloseIdempotent(t *testing.T) {
-	g := graph.Make(graph.FamilyGrid, 256, graph.UnitWeights(), 1)
-	nodes := make([]Node, g.N())
-	for i := range nodes {
-		nodes[i] = &floodNode{}
-	}
-	e := NewEngine(g, nodes, Config{})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	e.Close() // must not panic
 }
 
 // Duplicate external wakes and wake+message overlap must not double-run a
@@ -403,13 +362,12 @@ func TestCloseIdempotent(t *testing.T) {
 func TestDuplicateWakesCoalesce(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights(), 0)
 	n0 := &wakeNode{limit: 1}
-	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{})
-	defer e.Close()
+	e := NewEngine(g, []Node{n0, &wakeNode{}}, Config{MaxRounds: 10})
 	e.Init()
 	e.Wake(0)
 	e.Wake(0)
 	e.Wake(0)
-	rounds, err := e.RunUntilQuiescent(10)
+	rounds, err := e.RunUntilQuiescent()
 	if err != nil {
 		t.Fatal(err)
 	}

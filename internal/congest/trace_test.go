@@ -13,7 +13,7 @@ func TestTraceSumsToTotals(t *testing.T) {
 		nodes[i] = &floodNode{}
 	}
 	e := NewEngine(g, nodes, Config{Trace: true})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	tr := e.Trace()
@@ -41,7 +41,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		nodes[i] = &floodNode{}
 	}
 	e := NewEngine(g, nodes, Config{})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Trace() != nil {
@@ -56,7 +56,7 @@ func TestTraceAsync(t *testing.T) {
 		nodes[i] = &floodNode{}
 	}
 	e := NewEngine(g, nodes, Config{Trace: true, MaxDelay: 3, Seed: 5})
-	if _, err := e.RunUntilQuiescent(0); err != nil {
+	if _, err := e.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	var msgs int64

@@ -20,9 +20,6 @@ type TZOptions struct {
 	// S is the shortest-path diameter, required for SyncAnalytic (the
 	// paper's assumption that every node knows S; Section 3.2).
 	S int
-	// AnalyticConst scales the analytic phase bound; 0 means 3 (the
-	// Lemma 3.6 constant: |B_i(u)| ≤ 3·n^{1/k}·ln n whp).
-	AnalyticConst float64
 	// Levels optionally fixes the hierarchy (levels[u] = top level of u,
 	// -1 for nodes outside A_0). When nil, the standard hierarchy is
 	// sampled with probability n^{-1/k} from the shared coin streams.
@@ -74,14 +71,16 @@ func (r *TZResult) Query(u, v int) graph.Dist {
 	return sketch.QueryTZ(r.Labels[u], r.Labels[v])
 }
 
+// lemma36Const is the constant of Lemma 3.6: |B_i(u)| ≤ 3·n^{1/k}·ln n
+// whp.
+const lemma36Const = 3
+
 // AnalyticPhaseBound returns the per-phase round bound from Theorem 3.8:
-// c · max(1, hierarchySize^{1/k}·ln(hierarchySize)) · S rounds, where
-// hierarchySize is |A_0| (n for the standard construction; the net size
-// for CDG). This is what a node that knows S would wait per phase.
-func AnalyticPhaseBound(hierarchySize, k, s int, c float64) int {
-	if c == 0 {
-		c = 3
-	}
+// lemma36Const · max(1, hierarchySize^{1/k}·ln(hierarchySize)) · S
+// rounds, where hierarchySize is |A_0| (n for the standard construction;
+// the net size for CDG). This is what a node that knows S would wait per
+// phase.
+func AnalyticPhaseBound(hierarchySize, k, s int) int {
 	h := float64(hierarchySize)
 	if h < 2 {
 		h = 2
@@ -90,7 +89,7 @@ func AnalyticPhaseBound(hierarchySize, k, s int, c float64) int {
 	if queueBound < 1 {
 		queueBound = 1
 	}
-	return int(math.Ceil(c*queueBound*float64(s))) + 1
+	return int(math.Ceil(lemma36Const*queueBound*float64(s))) + 1
 }
 
 // BuildTZ runs the distributed Thorup–Zwick construction of Section 3 on
@@ -146,7 +145,6 @@ func buildTZPhased(g *graph.Graph, opt TZOptions, levels []int) (*TZResult, erro
 		cfg.OnRound = func(r int) { prog(curPhase, r) }
 	}
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
 	eng.Init()
 
 	res := &TZResult{Levels: levels}
@@ -165,14 +163,14 @@ func buildTZPhased(g *graph.Graph, opt TZOptions, levels []int) (*TZResult, erro
 		if anySource {
 			switch opt.Mode {
 			case SyncOmniscient:
-				if _, err := eng.RunUntilQuiescent(0); err != nil {
+				if _, err := eng.RunUntilQuiescent(); err != nil {
 					return nil, fmt.Errorf("core: phase %d: %w", phase, err)
 				}
 			case SyncAnalytic:
 				if opt.S <= 0 {
 					return nil, fmt.Errorf("core: analytic mode requires S > 0")
 				}
-				bound := AnalyticPhaseBound(hierSize, opt.K, opt.S, opt.AnalyticConst)
+				bound := AnalyticPhaseBound(hierSize, opt.K, opt.S)
 				if err := eng.RunRounds(bound); err != nil {
 					return nil, fmt.Errorf("core: phase %d: %w", phase, err)
 				}

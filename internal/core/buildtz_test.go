@@ -107,7 +107,7 @@ func TestRoundsWithinTheoremBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := k * AnalyticPhaseBound(g.N(), k, s, 3)
+		bound := k * AnalyticPhaseBound(g.N(), k, s)
 		if res.Cost.Total.Rounds > bound {
 			t.Errorf("%s: rounds %d > theorem bound %d (S=%d)", f, res.Cost.Total.Rounds, bound, s)
 		}

@@ -210,15 +210,10 @@ func BuildCDG(g *graph.Graph, opt SlackOptions) (*CDGResult, error) {
 		nodes[u] = waves[u]
 	}
 	eng := congest.NewEngine(g, nodes, stageCfg("cdg wave"))
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
-		eng.Close()
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, fmt.Errorf("core: super-node wave: %w", err)
 	}
 	waveCost := eng.Stats()
-	// Close each stage's engine as soon as it is harvested: a deferred
-	// close would pin all three engines (and their worker pools) until
-	// the whole build returns.
-	eng.Close()
 
 	// Stage 2b: child discovery (one round, ≤ n messages).
 	adopts := make([]*adoptNode, n)
@@ -227,12 +222,10 @@ func BuildCDG(g *graph.Graph, opt SlackOptions) (*CDGResult, error) {
 		nodes[u] = adopts[u]
 	}
 	eng = congest.NewEngine(g, nodes, stageCfg("cdg adopt"))
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
-		eng.Close()
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, fmt.Errorf("core: adopt round: %w", err)
 	}
 	waveCost = waveCost.Add(eng.Stats())
-	eng.Close()
 
 	// Stage 3: Thorup–Zwick over the net.
 	levels := make([]int, n)
@@ -279,12 +272,10 @@ func BuildCDG(g *graph.Graph, opt SlackOptions) (*CDGResult, error) {
 		nodes[u] = ships[u]
 	}
 	eng = congest.NewEngine(g, nodes, shipCfg)
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
-		eng.Close()
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, fmt.Errorf("core: label shipping: %w", err)
 	}
 	shipCost := eng.Stats()
-	eng.Close()
 	for u := 0; u < n; u++ {
 		if !ships[u].complete() {
 			return nil, fmt.Errorf("core: node %d did not receive its net label", u)

@@ -30,14 +30,14 @@ func TestDetectionCrashStallsCleanly(t *testing.T) {
 		dns[u] = newDetectNode(u, g.N(), 2, levels[u])
 		nodes[u] = dns[u]
 	}
-	eng := congest.NewEngine(g, nodes, congest.Config{Seed: 9})
+	eng := congest.NewEngine(g, nodes, congest.Config{Seed: 9, MaxRounds: 5 + 20000})
 	// Let the protocol get going, then kill a non-root node.
 	eng.Init()
 	if err := eng.RunRounds(5); err != nil {
 		t.Fatal(err)
 	}
 	eng.Crash(3)
-	_, err := eng.RunUntilQuiescent(20000)
+	_, err := eng.RunUntilQuiescent()
 	// Either the network stalls forever (leader waiting on the dead
 	// subtree: ErrMaxRounds) or — if node 3's role was already done —
 	// it completes. Both are acceptable fail-stop outcomes; what must

@@ -27,8 +27,7 @@ func buildTZDetection(g *graph.Graph, opt TZOptions, levels []int) (*TZResult, e
 		cfg.OnRound = func(r int) { prog("detection", r) }
 	}
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, fmt.Errorf("core: detection run: %w", err)
 	}
 	res := &TZResult{Levels: levels}

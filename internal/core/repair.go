@@ -273,7 +273,7 @@ func repairTZHierarchy(g *graph.Graph, k int, levels []int, old []*sketch.TZLabe
 	if dec, err := requireDecreases(g, changes, "tz"); err == nil {
 		return propagateDecreases(g, k, levels, old, dec)
 	}
-	return repairHierarchy(g, k, levels, old, endpointPairs(changes), endpointSearch, false)
+	return repairHierarchy(g, k, levels, old, endpointSearch(g, endpointPairs(changes)), false)
 }
 
 // requireDecreases certifies the batch for the kinds with no complete
@@ -324,7 +324,7 @@ func repairCDGSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*R
 	if err != nil {
 		return nil, err
 	}
-	out, regrown, err := repairCDGLabels(g, cds, pairs, endpointSearch)
+	out, regrown, err := repairCDGLabels(g, cds, endpointSearch(g, pairs))
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +341,9 @@ func repairCDGSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange) (*R
 }
 
 // repairCDGLabels is the per-instance CDG repair shared by the cdg and
-// graceful arms; search supplies the endpoint rows (see repairHierarchy).
-func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int, search func(*graph.Graph, [][2]int) *endpointRows) ([]*sketch.CDGLabel, int, error) {
+// graceful arms; rows are the batch's endpoint search (see
+// repairHierarchy).
+func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, rows *endpointRows) ([]*sketch.CDGLabel, int, error) {
 	n := g.N()
 	// Derive the net: under strictly positive weights, a node is its own
 	// nearest net node exactly when it is a net member.
@@ -385,7 +386,7 @@ func repairCDGLabels(g *graph.Graph, prev []*sketch.CDGLabel, pairs [][2]int, se
 		old[w] = nl
 		levels[w] = lv
 	}
-	hr, err := repairHierarchy(g, k, levels, old, pairs, search, true)
+	hr, err := repairHierarchy(g, k, levels, old, rows, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -440,7 +441,6 @@ func repairGracefulSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange
 		}
 	}
 	rows := endpointSearch(g, pairs)
-	shared := func(*graph.Graph, [][2]int) *endpointRows { return rows }
 	newLevels := make([][]*sketch.CDGLabel, depth)
 	regrown := 0
 	for j := 0; j < depth; j++ {
@@ -448,7 +448,7 @@ func repairGracefulSet(g *graph.Graph, prev []sketch.Label, changes []EdgeChange
 		for u, gl := range gls {
 			lv[u] = gl.Levels[j]
 		}
-		out, reg, err := repairCDGLabels(g, lv, pairs, shared)
+		out, reg, err := repairCDGLabels(g, lv, rows)
 		if err != nil {
 			return nil, fmt.Errorf("core: graceful level %d: %w", j+1, err)
 		}

@@ -139,18 +139,17 @@ func deriveTopLevel(l *sketch.TZLabel) int {
 }
 
 // repairHierarchy is the suspect-cluster repair of a Thorup–Zwick
-// hierarchy after the weight changes whose endpoint pairs are given.
-// levels[u] is u's top level or -1 for non-members; old[u] is u's
-// previous label or nil for nodes that carry none (net hierarchies keep
-// labels only at net members). search supplies the endpoint search's
-// distance rows for pairs: endpointSearch runs them, and the graceful
-// repair, which repairs one hierarchy per slack level on the same batch,
-// hands every level the rows it ran once. Labels whose bunch and pivots
-// are unchanged are shared pointer-identically. strict additionally
-// rejects (with ErrUnsound) any artifact whose distance to a hierarchy
-// level increased — the callers that cannot verify the final result use
-// it to enforce their decrease-only contract.
-func repairHierarchy(g *graph.Graph, k int, levels []int, old []*sketch.TZLabel, pairs [][2]int, search func(*graph.Graph, [][2]int) *endpointRows, strict bool) (*hierarchyRepair, error) {
+// hierarchy after a batch of weight changes, given the endpoint search's
+// distance rows for the batch (endpointSearch; the graceful repair, which
+// repairs one hierarchy per slack level on the same batch, runs it once
+// and hands every level the same rows). levels[u] is u's top level or -1
+// for non-members; old[u] is u's previous label or nil for nodes that
+// carry none (net hierarchies keep labels only at net members). Labels
+// whose bunch and pivots are unchanged are shared pointer-identically.
+// strict additionally rejects (with ErrUnsound) any artifact whose
+// distance to a hierarchy level increased — the callers that cannot
+// verify the final result use it to enforce their decrease-only contract.
+func repairHierarchy(g *graph.Graph, k int, levels []int, old []*sketch.TZLabel, rows *endpointRows, strict bool) (*hierarchyRepair, error) {
 	n := g.N()
 
 	// Fresh d(·, A_i) on the new graph, one multi-source Dijkstra per
@@ -172,7 +171,7 @@ func repairHierarchy(g *graph.Graph, k int, levels []int, old []*sketch.TZLabel,
 			suspect[it.Node] = true
 		}
 	}
-	search(g, pairs).markSuspects(levels, hr.pivotDist, suspect)
+	rows.markSuspects(levels, hr.pivotDist, suspect)
 
 	// Regrow every suspect cluster on the new graph. Suspects are walked
 	// in ascending ID order, so each artifact's contributions arrive

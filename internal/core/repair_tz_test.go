@@ -188,7 +188,7 @@ func TestRepairTZUncertifiedTakesEndpointSearch(t *testing.T) {
 			}
 			ng := reweigh(t, g, repl)
 
-			want, err := repairHierarchy(ng, k, o.Levels, o.Labels, endpointPairs(changes), endpointSearch, false)
+			want, err := repairHierarchy(ng, k, o.Levels, o.Labels, endpointSearch(ng, endpointPairs(changes)), false)
 			if err != nil {
 				t.Fatal(err)
 			}

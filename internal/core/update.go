@@ -222,8 +222,7 @@ func UpdateLandmark(g *graph.Graph, prev *LandmarkResult, changes []EdgeChange, 
 		nodes[u] = un
 	}
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, err
 	}
 	out := &LandmarkResult{Net: prev.Net}

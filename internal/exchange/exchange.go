@@ -191,8 +191,7 @@ func Fetch(g *graph.Graph, tree *bfstree.Tree, sketches [][]byte, requester, tar
 	}
 	exs[requester].want = tree.In[target]
 	eng := congest.NewEngine(g, nodes, cfg)
-	defer eng.Close()
-	if _, err := eng.RunUntilQuiescent(0); err != nil {
+	if _, err := eng.RunUntilQuiescent(); err != nil {
 		return nil, err
 	}
 	req := exs[requester]

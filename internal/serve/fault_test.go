@@ -630,7 +630,7 @@ func reCRCEnv(t *testing.T, env []byte) []byte {
 func corruptNode0Envelope(t *testing.T, set *distsketch.SketchSet) *distsketch.SketchSet {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := set.WriteToVersion(&buf, distsketch.SetVersion2); err != nil {
+	if _, err := set.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	env := buf.Bytes()

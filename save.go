@@ -75,19 +75,23 @@ func (e *ErrCorruptLabel) Error() string {
 
 func (e *ErrCorruptLabel) Unwrap() error { return e.Err }
 
-// SaveSketchSet writes set to path crash-safely in the requested
-// envelope version (SetVersion2 for a full set; see WriteToVersion): the
-// envelope is serialized into a same-directory temp file, fsynced,
-// renamed over path atomically, and the directory is fsynced. A crash at
-// any point — including mid-serialization — leaves path holding its
-// previous complete contents; the new envelope appears only once fully
-// durable.
+// SaveSketchSet writes set to path crash-safely in its envelope format
+// (see WriteTo): the envelope is serialized into a same-directory temp
+// file, fsynced, renamed over path atomically, and the directory is
+// fsynced. A crash at any point — including mid-serialization — leaves
+// path holding its previous complete contents; the new envelope appears
+// only once fully durable. version must be the one WriteTo writes,
+// SetVersion2 for a full set and SetVersion3 for a node-range shard; a
+// mismatch is refused before the filesystem is touched.
 func SaveSketchSet(path string, set *SketchSet, version int) error {
 	if set == nil {
 		return fmt.Errorf("distsketch: cannot save a nil sketch set")
 	}
+	if want := set.writeVersion(); version != want {
+		return fmt.Errorf("distsketch: cannot write envelope version %d: this set is written as version %d (%d for a full set, %d for a node-range shard)", version, want, SetVersion2, SetVersion3)
+	}
 	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		_, err := set.WriteToVersion(w, version)
+		_, err := set.WriteTo(w)
 		return err
 	})
 }

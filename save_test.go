@@ -33,10 +33,10 @@ func faultSet(t *testing.T) *SketchSet {
 	return set
 }
 
-func envelopeBytes(t *testing.T, set *SketchSet, version int) []byte {
+func envelopeBytes(t *testing.T, set *SketchSet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := set.WriteToVersion(&buf, version); err != nil {
+	if _, err := set.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -47,7 +47,7 @@ func envelopeBytes(t *testing.T, set *SketchSet, version int) []byte {
 // directory, mid-blob, mid-checksum) — and demands a typed
 // *ErrCorruptEnvelope whose offset points inside the bytes that remain.
 func TestTornEnvelopeEveryTruncation(t *testing.T) {
-	env := envelopeBytes(t, faultSet(t), SetVersion2)
+	env := envelopeBytes(t, faultSet(t))
 	for cut := 0; cut < len(env); cut++ {
 		_, err := ReadSketchSet(bytes.NewReader(env[:cut]))
 		if err == nil {
@@ -74,7 +74,7 @@ func TestTornEnvelopeEveryTruncation(t *testing.T) {
 // all single-bit errors, so an accepted flip would mean the checksum is
 // not actually covering the bytes.
 func TestTornEnvelopeBitFlips(t *testing.T) {
-	env := envelopeBytes(t, faultSet(t), SetVersion2)
+	env := envelopeBytes(t, faultSet(t))
 	for pos := 0; pos < len(env); pos++ {
 		for bit := 0; bit < 8; bit++ {
 			mod := bytes.Clone(env)
@@ -110,7 +110,7 @@ func TestFaultSaveKilledMidWrite(t *testing.T) {
 
 	// A writer that dies after emitting half an envelope.
 	killed := errors.New("killed mid-write")
-	half := envelopeBytes(t, set, SetVersion2)
+	half := envelopeBytes(t, set)
 	half = half[:len(half)/2]
 	err = atomicfile.WriteFile(path, func(w io.Writer) error {
 		if _, werr := w.Write(half); werr != nil {

@@ -648,34 +648,17 @@ func putStats(buf *bytes.Buffer, s Stats) {
 	putUvarint(buf, uint64(s.Words))
 }
 
-// WriteTo serializes the set in its envelope format: version 2 for an
+// WriteTo serializes the set in its envelope format, which ReadSketchSet
+// reads back with byte-identical query results: version 2 for an
 // unsharded set, version 3 (version 2 plus the shard range) for a
-// node-range shard. It implements io.WriterTo.
+// node-range shard. A set loaded from an envelope writes its stored
+// blobs directly, without decoding pending labels. It implements
+// io.WriterTo.
 func (s *SketchSet) WriteTo(w io.Writer) (int64, error) {
-	return s.WriteToVersion(w, s.writeVersion())
-}
-
-// writeVersion is the one envelope version that can hold the set.
-func (s *SketchSet) writeVersion() int {
-	if s.Sharded() {
-		return SetVersion3
-	}
-	return SetVersion2
-}
-
-// WriteToVersion serializes the set in the requested envelope version,
-// which ReadSketchSet reads back with byte-identical query results. A
-// sharded set can only be written as version 3 (version 2 has nowhere
-// to record the range), and an unsharded set only as version 2. A set
-// loaded from an envelope writes its stored blobs directly, without
-// decoding pending labels.
-func (s *SketchSet) WriteToVersion(w io.Writer, version int) (int64, error) {
 	if s.closed {
 		return 0, ErrSetClosed
 	}
-	if want := s.writeVersion(); version != want {
-		return 0, fmt.Errorf("distsketch: cannot write envelope version %d: this set is written as version %d (%d for a full set, %d for a node-range shard)", version, want, SetVersion2, SetVersion3)
-	}
+	version := s.writeVersion()
 	n := s.N()
 	var payload bytes.Buffer
 	payload.WriteByte(tagOfKind(s.kind))
@@ -736,6 +719,14 @@ func (s *SketchSet) WriteToVersion(w io.Writer, version int) (int64, error) {
 	nw, err = w.Write(crc[:])
 	total += int64(nw)
 	return total, err
+}
+
+// writeVersion is the one envelope version that can hold the set.
+func (s *SketchSet) writeVersion() int {
+	if s.Sharded() {
+		return SetVersion3
+	}
+	return SetVersion2
 }
 
 func tagOfKind(k Kind) byte {
@@ -807,7 +798,7 @@ func getStats(r *bytes.Reader) (Stats, error) {
 	return s, nil
 }
 
-// ReadSketchSet deserializes a set written by WriteTo or WriteToVersion.
+// ReadSketchSet deserializes a set written by WriteTo.
 // The input is validated end to end: envelope version, payload checksum,
 // and every node's directory entry and sketch header (kind and owner
 // must match its slot), so a corrupt or truncated file yields an error,

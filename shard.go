@@ -118,7 +118,7 @@ func (s *SketchSet) WriteShard(w io.Writer, r ShardRange) (int64, error) {
 	if r.Lo < 0 || r.Hi <= r.Lo || r.Hi > s.N() {
 		return 0, fmt.Errorf("distsketch: shard range %s invalid for a %d-node set", r, s.N())
 	}
-	return s.shardView(r).WriteToVersion(w, SetVersion3)
+	return s.shardView(r).WriteTo(w)
 }
 
 // WriteShards slices the set into one version-3 shard envelope per

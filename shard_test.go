@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -224,10 +226,12 @@ func TestShardReadOnly(t *testing.T) {
 	if _, err := shard.UpdateEdges(g, []EdgeChange{{U: 0, V: 1}}); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("UpdateEdges on a shard: %v, want read-only rejection", err)
 	}
-	var buf bytes.Buffer
-	if _, err := shard.WriteToVersion(&buf, SetVersion2); err == nil {
-		t.Fatal("WriteToVersion(v2) on a shard must fail (no shard range in v2)")
+	// A version mismatch is refused before the filesystem is touched.
+	badPath := filepath.Join(dir, "bad.dsk")
+	if err := SaveSketchSet(badPath, shard, SetVersion2); err == nil {
+		t.Fatal("SaveSketchSet(v2) on a shard must fail (no shard range in v2)")
 	}
+	var buf bytes.Buffer
 	if _, err := shard.WriteShard(&buf, ShardRange{Lo: 0, Hi: 10}); err == nil {
 		t.Fatal("re-splitting a shard must fail")
 	}
@@ -246,8 +250,11 @@ func TestShardReadOnly(t *testing.T) {
 			rlo, rhi, re.TotalNodes(), lo, hi, shard.TotalNodes())
 	}
 	// An unsharded set cannot masquerade as a shard.
-	if _, err := set.WriteToVersion(&buf, SetVersion3); err == nil {
-		t.Fatal("WriteToVersion(v3) on an unsharded set must fail")
+	if err := SaveSketchSet(badPath, set, SetVersion3); err == nil {
+		t.Fatal("SaveSketchSet(v3) on an unsharded set must fail")
+	}
+	if _, err := os.Stat(badPath); !errors.Is(err, os.ErrNotExist) {
+		t.Error("refused save left a file behind")
 	}
 }
 
